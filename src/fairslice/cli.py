@@ -25,13 +25,11 @@ from .eating import simulate_eating
 from .mechanisms import MECHANISMS, get_mechanism
 from .model import Instance
 from .properties import (
+    allocation_reports,
     check_anonymity,
     check_crossing_vs_eating,
-    check_envy_free,
-    check_full_and_connected,
-    check_pareto,
     check_position_oblivious,
-    check_proportional,
+    search_deviations,
 )
 from .rationals import format_rational
 from .serialize import (
@@ -41,7 +39,7 @@ from .serialize import (
     report_document,
     to_jsonable,
 )
-from .sweeps import search_deviations_parallel, sweep_prefix_grid
+from .sweeps import sweep_prefix_grid
 
 _ANONYMITY_AGENT_CAP = 4
 
@@ -209,14 +207,7 @@ def _cmd_verify(config: RunConfig, out) -> int:
     mechanism = get_mechanism(config.mechanism)
     instance = _load_instance(config.instance)
     machine = config.format == "machine"
-    allocation = mechanism.run(instance)
-    reports = [
-        check_full_and_connected(allocation),
-        check_envy_free(instance, allocation),
-        check_proportional(instance, allocation),
-    ]
-    if not allocation.free_disposal:
-        reports.append(check_pareto(instance, allocation))
+    reports = allocation_reports(instance, mechanism.run(instance))
     if instance.n <= _ANONYMITY_AGENT_CAP:
         for sigma in itertools.permutations(range(instance.n)):
             if sigma != tuple(range(instance.n)):
@@ -248,8 +239,8 @@ def _cmd_deviate(config: RunConfig, out) -> int:
             f"unknown agent {config.agent!r}; instance has {', '.join(instance.ids)}"
         )
     reports = [
-        search_deviations_parallel(
-            mechanism.name, instance, agent, config.grid, family, config.workers
+        search_deviations(
+            mechanism, instance, agent, config.grid, family, config.workers
         )
         for agent in agents
     ]

@@ -27,6 +27,17 @@ class IntervalSet:
     intervals: tuple[tuple[Fraction, Fraction], ...] = ()
 
     def __post_init__(self) -> None:
+        ends = [x for interval in self.intervals for x in interval]
+        if ends and not (
+            len(ends) == 2 * len(self.intervals)
+            and ZERO <= ends[0]
+            and ends[-1] <= ONE
+            and all(a < b for a, b in zip(ends, ends[1:]))
+        ):
+            self._reject()
+
+    def _reject(self) -> None:
+        """Raise the error for the first interval that breaks canonical form."""
         prev_right: Fraction | None = None
         for left, right in self.intervals:
             if not (ZERO <= left and right <= ONE):
@@ -53,14 +64,16 @@ class IntervalSet:
         cleaned: list[tuple[Fraction, Fraction]] = []
         for pair in pairs:
             left, right = pair
-            if not (ZERO <= left <= ONE and ZERO <= right <= ONE):
-                raise OutOfRangeError(f"interval [{left}, {right}] leaves [0, 1]")
-            if left > right:
+            if not ZERO <= left <= right <= ONE:
+                if not (ZERO <= left <= ONE and ZERO <= right <= ONE):
+                    raise OutOfRangeError(f"interval [{left}, {right}] leaves [0, 1]")
                 raise MalformedIntervalError(
                     f"interval [{left}, {right}] has left > right"
                 )
             if left < right:
                 cleaned.append((left, right))
+        if len(cleaned) < 2:
+            return IntervalSet(tuple(cleaned))
         cleaned.sort()
         merged: list[tuple[Fraction, Fraction]] = []
         for left, right in cleaned:
@@ -140,25 +153,39 @@ def _flat(s: IntervalSet) -> list[Fraction]:
 def _combine(a: IntervalSet, b: IntervalSet, keep) -> IntervalSet:
     """Boundary-walk set operation.
 
-    Cut [0, 1] at every endpoint of either operand; membership of each atom
-    in each operand is constant, read off by endpoint-index parity. Atoms
-    the predicate keeps are concatenated, gluing adjacent ones.
+    Merge the two sorted endpoint lists; each endpoint flips membership in
+    its operand, so between consecutive distinct endpoints membership is
+    constant. A kept run opens where the predicate turns true and closes
+    where it turns false, which glues adjacent kept atoms.
     """
     pa = _flat(a)
     pb = _flat(b)
-    events = sorted({*pa, *pb})
+    na, nb = len(pa), len(pb)
     out: list[tuple[Fraction, Fraction]] = []
     ia = ib = 0
-    for left, right in zip(events, events[1:]):
-        while ia < len(pa) and pa[ia] <= left:
+    in_a = in_b = kept = False
+    start = ZERO
+    while ia < na or ib < nb:
+        if ib == nb or (ia < na and pa[ia] < pb[ib]):
+            x = pa[ia]
             ia += 1
-        while ib < len(pb) and pb[ib] <= left:
+            in_a = not in_a
+        elif ia == na or pb[ib] < pa[ia]:
+            x = pb[ib]
             ib += 1
-        if keep(ia % 2 == 1, ib % 2 == 1):
-            if out and out[-1][1] == left:
-                out[-1] = (out[-1][0], right)
-            else:
-                out.append((left, right))
+            in_b = not in_b
+        else:
+            x = pa[ia]
+            ia += 1
+            ib += 1
+            in_a = not in_a
+            in_b = not in_b
+        now = keep(in_a, in_b)
+        if now and not kept:
+            start = x
+        elif kept and not now:
+            out.append((start, x))
+        kept = now
     return IntervalSet(tuple(out))
 
 

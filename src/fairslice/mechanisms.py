@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .eating import allocate_cake2_eating
 from .errors import NotPrefixFormError, PreconditionUnmetError
 from .intervals import FULL, ONE, ZERO, IntervalSet
 from .model import Allocation, Instance, Resource
@@ -32,25 +33,33 @@ def crossing_point(w1: IntervalSet, w2: IntervalSet) -> Fraction:
     consecutive endpoints and interpolate inside the first atom whose
     right end reaches zero.
     """
-    points = {ZERO, ONE}
-    for left, right in w1.intervals:
-        points.add(left)
-        points.add(right)
-    for left, right in w2.intervals:
-        points.add(left)
-        points.add(right)
-    events = sorted(points)
     g = -w2.total_length()
-    for left, right in zip(events, events[1:]):
-        if g == 0:
+    ends1 = [x for interval in w1.intervals for x in interval]
+    ends2 = [x for interval in w2.intervals for x in interval]
+    i = j = 0
+    in1 = in2 = False
+    left = ZERO
+    while True:
+        # an endpoint flips membership in its set for the atom to its right
+        while i < len(ends1) and ends1[i] == left:
+            in1 = not in1
+            i += 1
+        while j < len(ends2) and ends2[j] == left:
+            in2 = not in2
+            j += 1
+        if g == 0 or left == ONE:
             return left
-        mid = (left + right) / 2
-        slope = (1 if w1.contains(mid) else 0) + (1 if w2.contains(mid) else 0)
+        right = ONE
+        if i < len(ends1) and ends1[i] < right:
+            right = ends1[i]
+        if j < len(ends2) and ends2[j] < right:
+            right = ends2[j]
+        slope = in1 + in2
         g_right = g + slope * (right - left)
         if g_right >= 0:
             return left + (-g) / slope
         g = g_right
-    return events[-1]
+        left = right
 
 
 def _require(instance: Instance, kind: Resource, n: int | None) -> None:
@@ -258,12 +267,6 @@ _EXACT_GUARANTEES = frozenset(
 )
 
 
-def _eating_run(instance: Instance) -> Allocation:
-    from .eating import allocate_cake2_eating
-
-    return allocate_cake2_eating(instance)
-
-
 MECHANISMS: dict[str, MechanismInfo] = {
     m.name: m
     for m in (
@@ -277,7 +280,7 @@ MECHANISMS: dict[str, MechanismInfo] = {
             False,
             False,
             _EXACT_GUARANTEES,
-            _eating_run,
+            allocate_cake2_eating,
         ),
         MechanismInfo(
             "chore2", Resource.CHORE, 2, False, False, _EXACT_GUARANTEES, allocate_chore2

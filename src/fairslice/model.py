@@ -22,7 +22,7 @@ from .errors import (
     MalformedIntervalError,
     ShapeMismatchError,
 )
-from .intervals import FULL, ZERO, IntervalSet
+from .intervals import ONE, ZERO, IntervalSet
 
 
 class Resource(enum.Enum):
@@ -108,14 +108,22 @@ class Allocation:
     free_disposal: bool = False
 
     def __post_init__(self) -> None:
-        covered = IntervalSet()
-        length_sum = ZERO
-        for piece in self.pieces:
-            covered = covered.union(piece)
-            length_sum += piece.total_length()
-        if length_sum != covered.total_length():
-            raise MalformedIntervalError("allocation pieces overlap")
-        if not self.free_disposal and covered != FULL:
+        # Each piece is canonical, so all their intervals sorted by left end
+        # overlap with positive length iff one starts before the previous
+        # one ends; without overlap they cover [0, 1] iff they chain from 0
+        # to 1 with no gap.
+        spans = sorted(iv for piece in self.pieces for iv in piece.intervals)
+        for (_, prev_right), (left, _) in zip(spans, spans[1:]):
+            if left < prev_right:
+                raise MalformedIntervalError("allocation pieces overlap")
+        if self.free_disposal:
+            return
+        if not (
+            spans
+            and spans[0][0] == ZERO
+            and spans[-1][1] == ONE
+            and all(r == l for (_, r), (l, _) in zip(spans, spans[1:]))
+        ):
             raise MalformedIntervalError(
                 "allocation must cover [0, 1] when disposal is not allowed"
             )

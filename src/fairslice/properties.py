@@ -13,9 +13,12 @@ whole family, and a "violated" verdict names the best deviation found.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     PreconditionUnmetError,
@@ -190,6 +193,24 @@ def check_full_and_connected(allocation: Allocation) -> PropertyReport:
     return PropertyReport("full-and-connected", verdict, witness)
 
 
+def allocation_reports(
+    instance: Instance, allocation: Allocation
+) -> list[PropertyReport]:
+    """The checks every allocation gets, in report order.
+
+    Pareto is left out for free-disposal allocations, where the atom
+    criterion is undefined.
+    """
+    reports = [
+        check_full_and_connected(allocation),
+        check_envy_free(instance, allocation),
+        check_proportional(instance, allocation),
+    ]
+    if not allocation.free_disposal:
+        reports.append(check_pareto(instance, allocation))
+    return reports
+
+
 # -- structure-sensitivity -----------------------------------------------
 
 
@@ -349,7 +370,10 @@ def grid_subset_reports(grid_denominator: int) -> tuple[IntervalSet, ...]:
     return tuple(reports)
 
 
+@lru_cache(maxsize=8)
 def candidate_reports(family: str, grid_denominator: int) -> tuple[IntervalSet, ...]:
+    """The report family's candidates in canonical order, built once per
+    (family, D) since every search on that grid scans the same list."""
     if grid_denominator < 1:
         raise PreconditionUnmetError("grid denominator must be at least 1")
     if family == "prefix":
@@ -361,12 +385,31 @@ def candidate_reports(family: str, grid_denominator: int) -> tuple[IntervalSet, 
     )
 
 
+def ordered_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
+    """fn over items, yielded in item order, in up to `workers` processes.
+
+    The pool never exceeds the CPU count or the number of items, since the
+    executor forks all of its workers at once. With one worker the map runs
+    lazily in this process.
+    """
+    if workers > 1:
+        items = list(items)
+        workers = min(workers, os.cpu_count() or 1, len(items))
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    chunksize = -(-len(items) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, items, chunksize=chunksize)
+
+
 def search_deviations(
     mechanism: MechanismInfo,
     instance: Instance,
     agent: int,
     grid_denominator: int,
     family: str,
+    workers: int = 1,
 ) -> PropertyReport:
     """Exhaustive misreport search for one agent over a finite family.
 
@@ -382,9 +425,11 @@ def search_deviations(
             f"{mechanism.name} accepts only prefix reports; use the prefix family"
         )
     reports = candidate_reports(family, grid_denominator)
-    values = [
-        deviation_value(mechanism, instance, agent, report) for report in reports
-    ]
+    values = list(
+        ordered_map(
+            partial(deviation_value, mechanism, instance, agent), reports, workers
+        )
+    )
     return summarize_deviation_search(
         mechanism, instance, agent, grid_denominator, family, reports, values
     )
@@ -411,9 +456,15 @@ def summarize_deviation_search(
     values: Sequence[Fraction],
 ) -> PropertyReport:
     """Reduce per-candidate outcomes to a deterministic report."""
-    truthful = instance.valuations[agent].value(
-        mechanism.run(instance).pieces[agent]
+    # a candidate equal to the true report already ran the truthful outcome
+    true_report = instance.desired(agent)
+    truthful = next(
+        (v for r, v in zip(reports, values) if r == true_report), None
     )
+    if truthful is None:
+        truthful = instance.valuations[agent].value(
+            mechanism.run(instance).pieces[agent]
+        )
     chore = instance.kind is Resource.CHORE
     best_idx = 0
     for idx in range(1, len(values)):

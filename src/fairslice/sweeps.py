@@ -1,4 +1,4 @@
-"""Exhaustive grid sweeps, parallel search plumbing, and instance generators.
+"""Exhaustive grid sweeps and instance generators.
 
 Sweeps enumerate every prefix-report instance on a grid, run a mechanism,
 and apply every checker plus the per-agent misreport search. Results are
@@ -10,8 +10,8 @@ byte-identical for any worker count.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import partial
 from random import Random
 from typing import Iterator, Sequence
 
@@ -20,14 +20,9 @@ from .mechanisms import MechanismInfo, get_mechanism
 from .model import Instance, Resource, Valuation
 from .properties import (
     PropertyReport,
-    candidate_reports,
-    check_envy_free,
-    check_full_and_connected,
-    check_pareto,
-    check_proportional,
-    deviation_value,
+    allocation_reports,
+    ordered_map,
     search_deviations,
-    summarize_deviation_search,
 )
 from .serialize import report_document, to_jsonable
 
@@ -48,27 +43,6 @@ def all_prefix_profiles(
 ) -> Iterator[tuple[Fraction, ...]]:
     """Every n-tuple of prefix endpoints on the grid, lexicographically."""
     return itertools.product(grid_points(grid_denominator), repeat=n)
-
-
-def instance_reports(
-    mechanism: MechanismInfo,
-    instance: Instance,
-    deviation_grid: int,
-    family: str = "prefix",
-) -> tuple[tuple[Fraction, ...], list[PropertyReport]]:
-    """Run the mechanism and every sweep checker on one instance."""
-    allocation = mechanism.run(instance)
-    reports = [
-        check_full_and_connected(allocation),
-        check_envy_free(instance, allocation),
-        check_proportional(instance, allocation),
-        check_pareto(instance, allocation),
-    ]
-    for agent in range(instance.n):
-        reports.append(
-            search_deviations(mechanism, instance, agent, deviation_grid, family)
-        )
-    return allocation.values(instance), reports
 
 
 def guarantee_violations(
@@ -100,29 +74,25 @@ def guarantee_violations(
 
 def _sweep_record(
     mechanism: MechanismInfo,
-    index: int,
-    xs: tuple[Fraction, ...],
     deviation_grid: int,
+    item: tuple[int, tuple[Fraction, ...]],
 ) -> tuple[dict, list[str]]:
+    """Run the mechanism, every checker and each agent's prefix misreport
+    search on one indexed profile."""
+    index, xs = item
     instance = instance_from_prefixes(mechanism.kind, xs)
-    values, reports = instance_reports(mechanism, instance, deviation_grid)
+    allocation = mechanism.run(instance)
+    reports = allocation_reports(instance, allocation) + [
+        search_deviations(mechanism, instance, agent, deviation_grid, "prefix")
+        for agent in range(instance.n)
+    ]
     record = {
         "instance": index,
         "xs": to_jsonable(list(xs)),
-        "values": to_jsonable(list(values)),
+        "values": to_jsonable(list(allocation.values(instance))),
         "reports": [report_document(r) for r in reports],
     }
     return record, guarantee_violations(mechanism, reports)
-
-
-def _sweep_chunk(args: tuple) -> list[tuple[dict, list[str]]]:
-    mechanism_name, n, grid, deviation_grid, start, stop = args
-    mechanism = get_mechanism(mechanism_name)
-    profiles = itertools.islice(all_prefix_profiles(n, grid), start, stop)
-    return [
-        _sweep_record(mechanism, start + offset, xs, deviation_grid)
-        for offset, xs in enumerate(profiles)
-    ]
 
 
 def sweep_prefix_grid(
@@ -132,64 +102,10 @@ def sweep_prefix_grid(
     workers: int = 1,
 ) -> Iterator[tuple[dict, list[str]]]:
     """Yield (record, broken-guarantees) per instance, in instance order."""
-    mechanism = get_mechanism(mechanism_name)
-    total = (grid_denominator + 1) ** n
-    if workers <= 1:
-        for index, xs in enumerate(all_prefix_profiles(n, grid_denominator)):
-            yield _sweep_record(mechanism, index, xs, grid_denominator)
-        return
-    chunk = max(1, -(-total // (workers * 4)))
-    tasks = [
-        (mechanism_name, n, grid_denominator, grid_denominator, start,
-         min(start + chunk, total))
-        for start in range(0, total, chunk)
-    ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for batch in pool.map(_sweep_chunk, tasks):
-            yield from batch
-
-
-# -- parallel misreport search ---------------------------------------------
-
-
-def _deviation_chunk(args: tuple) -> list[Fraction]:
-    mechanism_name, instance, agent, grid, family, start, stop = args
-    mechanism = get_mechanism(mechanism_name)
-    reports = candidate_reports(family, grid)[start:stop]
-    return [deviation_value(mechanism, instance, agent, r) for r in reports]
-
-
-def search_deviations_parallel(
-    mechanism_name: str,
-    instance: Instance,
-    agent: int,
-    grid_denominator: int,
-    family: str,
-    workers: int = 1,
-) -> PropertyReport:
-    """search_deviations with the candidate list sharded across processes.
-
-    The reduction happens in canonical candidate order, so the outcome is
-    identical to the serial search for any worker count.
-    """
-    mechanism = get_mechanism(mechanism_name)
-    if workers <= 1:
-        return search_deviations(
-            mechanism, instance, agent, grid_denominator, family
-        )
-    reports = candidate_reports(family, grid_denominator)
-    chunk = max(1, -(-len(reports) // (workers * 4)))
-    tasks = [
-        (mechanism_name, instance, agent, grid_denominator, family, start,
-         min(start + chunk, len(reports)))
-        for start in range(0, len(reports), chunk)
-    ]
-    values: list[Fraction] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for batch in pool.map(_deviation_chunk, tasks):
-            values.extend(batch)
-    return summarize_deviation_search(
-        mechanism, instance, agent, grid_denominator, family, reports, values
+    yield from ordered_map(
+        partial(_sweep_record, get_mechanism(mechanism_name), grid_denominator),
+        enumerate(all_prefix_profiles(n, grid_denominator)),
+        workers,
     )
 
 
@@ -230,42 +146,4 @@ def random_grid_subset(rng: Random, grid_denominator: int) -> IntervalSet:
             for k in range(grid_denominator)
             if rng.getrandbits(1)
         ]
-    )
-
-
-# -- stress family for position sensitivity ---------------------------------
-
-
-def position_stress_family(k: int) -> tuple[Instance, Instance, Instance]:
-    """Three staged 2k-agent cake instances that pin down how a mechanism's
-    payoffs depend on piece positions.
-
-    The stages keep every agent-subset's desired length fixed while moving
-    the first two agents' desired cake around, so any payoff change across
-    stages is position sensitivity by construction. Endpoints live on a
-    1/(4k^2+k) grid (the construction is scaled into [0,1]).
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    scale = Fraction(4 * k * k + k)
-
-    def unit(a: int, b: int) -> tuple[Fraction, Fraction]:
-        return Fraction(a) / scale, Fraction(b) / scale
-
-    base = [
-        IntervalSet.from_endpoints([unit(i - 1, i)])
-        for i in range(1, k + 1)
-        for _ in (0, 1)
-    ]
-    spread = IntervalSet.from_endpoints([unit(0, 1), unit(k, 3 * k - 1)])
-    first = IntervalSet.from_endpoints([unit(0, 1)])
-
-    def build(w1: IntervalSet, w2: IntervalSet) -> Instance:
-        desired = [w1, w2] + base[2:]
-        return Instance(Resource.CAKE, tuple(Valuation(w) for w in desired))
-
-    return (
-        build(base[0], base[1]),
-        build(spread, first),
-        build(spread, spread),
     )

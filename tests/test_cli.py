@@ -341,6 +341,29 @@ class TestEnumerate:
         assert summary["summary"]["instances"] == 25
         assert summary["summary"]["guarantee_violations"] == 0
 
+    def test_free_disposal_mechanism_skips_pareto(self, capsys):
+        code = main(
+            [
+                "enumerate",
+                "--mechanism",
+                "connected-baseline",
+                "--n",
+                "2",
+                "--grid",
+                "4",
+                "--format",
+                "machine",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        records = [json.loads(line) for line in captured.out.strip().split("\n")]
+        assert len(records[:-1]) == 25
+        assert all(
+            r["property"] != "pareto" for rec in records[:-1] for r in rec["reports"]
+        )
+        assert records[-1]["summary"]["guarantee_violations"] == 0
+
 
 class TestUsageErrors:
     def test_unknown_mechanism(self, fx, capsys):
@@ -428,6 +451,22 @@ class TestUsageErrors:
         )
         assert code == 2
         assert "unknown agent 'zz'" in capsys.readouterr().err
+
+    def test_prefix_mechanism_subset_family_any_workers(self, fx, capsys):
+        args = [
+            "deviate",
+            "--mechanism",
+            "prefix-cake",
+            "--instance",
+            fx["even"],
+            "--family",
+            "subsets",
+        ]
+        assert main(args + ["--workers", "1"]) == 2
+        serial = capsys.readouterr().err
+        assert main(args + ["--workers", "2"]) == 2
+        assert capsys.readouterr().err == serial
+        assert "use the prefix family" in serial
 
     def test_enumerate_needs_agents(self, capsys):
         code = main(["enumerate", "--mechanism", "prefix-cake", "--n", "0"])

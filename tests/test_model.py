@@ -90,6 +90,25 @@ class TestAllocation:
         )
         assert alloc.free_disposal
 
+    def test_overlap_between_fragmented_pieces_rejected(self):
+        # the overlap sits between the first piece's second interval and the
+        # third piece, with the second piece's interval sorted in between
+        with pytest.raises(MalformedIntervalError, match="overlap"):
+            Allocation(
+                (
+                    iset((0, F(1, 4)), (HALF, 1)),
+                    iset((F(1, 4), F(3, 8))),
+                    iset((F(3, 8), F(5, 8))),
+                ),
+                free_disposal=True,
+            )
+
+    def test_cover_with_a_gap_rejected_but_overlap_reported_first(self):
+        with pytest.raises(MalformedIntervalError, match="cover"):
+            Allocation((iset((0, F(1, 4)), (HALF, 1)), iset((F(1, 4), F(3, 8)))))
+        with pytest.raises(MalformedIntervalError, match="overlap"):
+            Allocation((iset((0, F(1, 4))), iset((F(1, 8), F(3, 8)))))
+
     def test_values_requires_matching_agent_count(self):
         inst = cake(iset((0, 1)), iset((0, 1)), iset((0, 1)))
         alloc = Allocation((iset((0, HALF)), iset((HALF, 1))))

@@ -28,8 +28,8 @@ from fairslice import (
     search_deviations,
 )
 from fairslice.errors import NotPrefixFormError
-from fairslice.properties import deviation_value
-from fairslice.sweeps import search_deviations_parallel
+from fairslice import properties
+from fairslice.properties import allocation_reports, deviation_value, ordered_map
 from helpers import (
     F,
     cake,
@@ -414,10 +414,64 @@ class TestSearchDeviations:
     def test_deterministic_and_worker_independent(self):
         serial = search_deviations(MECH_CUT_CHOOSE, self.CUT_INSTANCE, 0, 8, "subsets")
         again = search_deviations(MECH_CUT_CHOOSE, self.CUT_INSTANCE, 0, 8, "subsets")
-        fanned = search_deviations_parallel(
-            "cut-and-choose", self.CUT_INSTANCE, 0, 8, "subsets", workers=3
+        fanned = search_deviations(
+            MECH_CUT_CHOOSE, self.CUT_INSTANCE, 0, 8, "subsets", workers=3
         )
         assert serial == again == fanned
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size asked for
+    and maps in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+class TestOrderedMap:
+    @pytest.mark.parametrize("cpus, pool", [(None, None), (1, None), (2, 2), (64, 3)])
+    def test_pool_capped_by_cpus_and_items(self, monkeypatch, cpus, pool):
+        monkeypatch.setattr(properties, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(properties.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        assert list(ordered_map(str, [3, 1, 2], 10**6)) == ["3", "1", "2"]
+        assert _RecordingPool.sizes == ([] if pool is None else [pool])
+
+    def test_serial_map_is_lazy(self):
+        seen = []
+        results = ordered_map(seen.append, itertools.count(), 1)
+        next(results)
+        next(results)
+        assert seen == [0, 1]
+
+
+class TestAllocationReports:
+    def test_full_allocation_gets_pareto(self):
+        inst = cake(iset((0, HALF)), iset((0, 1)))
+        reports = allocation_reports(inst, MECH_CAKE2.run(inst))
+        assert [r.property for r in reports] == [
+            "full-and-connected", "envy-free", "proportional", "pareto"
+        ]
+
+    def test_free_disposal_skips_pareto(self):
+        inst = prefix_instance(Resource.CAKE, [HALF, HALF])
+        allocation = MECH_BASELINE.run(inst)
+        assert allocation.free_disposal
+        reports = allocation_reports(inst, allocation)
+        assert [r.property for r in reports] == [
+            "full-and-connected", "envy-free", "proportional"
+        ]
 
 
 def _cell_allocation(owners, n, den):
