@@ -31,7 +31,7 @@ from .properties import (
     check_position_oblivious,
     search_deviations,
 )
-from .rationals import format_rational
+from .rationals import format_intervals, format_rational
 from .serialize import (
     allocation_document,
     dumps,
@@ -150,9 +150,7 @@ def _emit_report(report, machine: bool, out) -> None:
 def _format_piece(piece) -> str:
     if piece.is_empty():
         return "(nothing)"
-    return " ∪ ".join(
-        f"[{format_rational(l)}, {format_rational(r)}]" for l, r in piece.intervals
-    )
+    return format_intervals(piece.intervals)
 
 
 def _cmd_allocate(config: RunConfig, out) -> int:

@@ -20,6 +20,7 @@ from .eating import allocate_cake2_eating
 from .errors import NotPrefixFormError, PreconditionUnmetError
 from .intervals import FULL, ONE, ZERO, IntervalSet
 from .model import Allocation, Instance, Resource
+from .rationals import format_intervals
 
 
 # -- two-agent cake: crossing form --------------------------------------
@@ -108,7 +109,7 @@ def prefix_endpoint(desired: IntervalSet) -> Fraction:
     if len(desired.intervals) == 1 and desired.intervals[0][0] == ZERO:
         return desired.intervals[0][1]
     raise NotPrefixFormError(
-        f"report must be a prefix [0, x], got {desired.intervals}"
+        f"report must be a prefix [0, x], got {format_intervals(desired.intervals)}"
     )
 
 

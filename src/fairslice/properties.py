@@ -170,10 +170,13 @@ def check_pareto(instance: Instance, allocation: Allocation) -> PropertyReport:
 
 def check_full_and_connected(allocation: Allocation) -> PropertyReport:
     """Coverage and connectedness, reported together with sub-verdicts."""
-    covered = IntervalSet()
-    for piece in allocation.pieces:
-        covered = covered.union(piece)
-    missing = FULL.difference(covered)
+    # Allocation already proved that pieces without free disposal cover [0, 1]
+    missing = IntervalSet()
+    if allocation.free_disposal:
+        covered = IntervalSet()
+        for piece in allocation.pieces:
+            covered = covered.union(piece)
+        missing = FULL.difference(covered)
     full_ok = missing.is_empty()
     scattered = [
         (i, piece)

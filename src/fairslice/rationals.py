@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import ParseError
 
@@ -59,3 +60,11 @@ def format_rational(value: Fraction) -> str:
     rational has one canonical shape.
     """
     return f"{value.numerator}/{value.denominator}"
+
+
+def format_intervals(intervals: Sequence[tuple[Fraction, Fraction]]) -> str:
+    """Intervals as "[p/q, p/q]" joined by " ∪ ", in the given order."""
+    return " ∪ ".join(
+        f"[{format_rational(left)}, {format_rational(right)}]"
+        for left, right in intervals
+    )

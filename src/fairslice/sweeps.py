@@ -5,6 +5,18 @@ and apply every checker plus the per-agent misreport search. Results are
 deterministic: instances are visited in lexicographic report order and
 parallel evaluation only shards the same ordered list, so output is
 byte-identical for any worker count.
+
+Every prefix misreport of a grid profile is itself a grid profile: agent i
+reporting [0, k/D] in place of [0, x_i] gives the profile with i's grid
+index replaced by k. One sweep therefore needs only (D+1)^n distinct
+mechanism runs, and a sweep-scoped outcome table keyed by grid indices
+makes each of them once, on first use; every record reads its own
+allocation and each agent's D+1 deviation outcomes from it. The table
+lives exactly as long as one sweep_prefix_grid call, so nothing carries
+over from one sweep to the next. With several workers each chunk of
+profiles starts from an empty copy, which repeats some runs but not the
+output. Sweeps are capped at SWEEP_PROFILE_CAP profiles, which bounds the
+table's memory.
 """
 
 from __future__ import annotations
@@ -15,16 +27,23 @@ from functools import partial
 from random import Random
 from typing import Iterator, Sequence
 
+from .errors import SearchSpaceTooLargeError
 from .intervals import IntervalSet
 from .mechanisms import MechanismInfo, get_mechanism
-from .model import Instance, Resource, Valuation
+from .model import Allocation, Instance, Resource, Valuation
 from .properties import (
     PropertyReport,
     allocation_reports,
+    candidate_reports,
     ordered_map,
-    search_deviations,
+    summarize_deviation_search,
 )
 from .serialize import report_document, to_jsonable
+
+# The outcome table holds one allocation per profile, 1 to 3 KiB growing
+# with n. The largest table this cap allows (prefix-cake, n=9, D=2) holds
+# about 50 MiB.
+SWEEP_PROFILE_CAP = 20_000
 
 
 def grid_points(grid_denominator: int) -> tuple[Fraction, ...]:
@@ -36,13 +55,6 @@ def instance_from_prefixes(kind: Resource, xs: Sequence[Fraction]) -> Instance:
     return Instance(
         kind, tuple(Valuation(IntervalSet.prefix(x)) for x in xs)
     )
-
-
-def all_prefix_profiles(
-    n: int, grid_denominator: int
-) -> Iterator[tuple[Fraction, ...]]:
-    """Every n-tuple of prefix endpoints on the grid, lexicographically."""
-    return itertools.product(grid_points(grid_denominator), repeat=n)
 
 
 def guarantee_violations(
@@ -72,23 +84,56 @@ def guarantee_violations(
     return broken
 
 
+class _OutcomeTable:
+    """The allocation of each grid profile, keyed by its grid indices
+    (k_1, ..., k_n) and run on first use."""
+
+    def __init__(self, mechanism: MechanismInfo, grid_denominator: int) -> None:
+        self.mechanism = mechanism
+        self.grid_denominator = grid_denominator
+        self.points = grid_points(grid_denominator)
+        self.allocations: dict[tuple[int, ...], Allocation] = {}
+
+    def instance(self, ks: tuple[int, ...]) -> Instance:
+        return instance_from_prefixes(
+            self.mechanism.kind, [self.points[k] for k in ks]
+        )
+
+    def allocation(self, ks: tuple[int, ...]) -> Allocation:
+        allocation = self.allocations.get(ks)
+        if allocation is None:
+            allocation = self.mechanism.run(self.instance(ks))
+            self.allocations[ks] = allocation
+        return allocation
+
+
 def _sweep_record(
-    mechanism: MechanismInfo,
-    deviation_grid: int,
-    item: tuple[int, tuple[Fraction, ...]],
+    table: _OutcomeTable, item: tuple[int, tuple[int, ...]]
 ) -> tuple[dict, list[str]]:
-    """Run the mechanism, every checker and each agent's prefix misreport
-    search on one indexed profile."""
-    index, xs = item
-    instance = instance_from_prefixes(mechanism.kind, xs)
-    allocation = mechanism.run(instance)
-    reports = allocation_reports(instance, allocation) + [
-        search_deviations(mechanism, instance, agent, deviation_grid, "prefix")
-        for agent in range(instance.n)
-    ]
+    """Every checker and each agent's prefix misreport search on one
+    indexed profile, with every outcome read from the table."""
+    index, ks = item
+    mechanism, grid = table.mechanism, table.grid_denominator
+    instance = table.instance(ks)
+    allocation = table.allocation(ks)
+    reports = allocation_reports(instance, allocation)
+    candidates = candidate_reports("prefix", grid)
+    for agent, valuation in enumerate(instance.valuations):
+        # the outcome of reporting [0, k/D]: agent's index replaced by k
+        values = [
+            valuation.value(
+                table.allocation(ks[:agent] + (k,) + ks[agent + 1 :]).pieces[agent]
+            )
+            for k in range(grid + 1)
+        ]
+        reports.append(
+            summarize_deviation_search(
+                mechanism, instance, agent, grid, "prefix", candidates, values
+            )
+        )
     record = {
         "instance": index,
-        "xs": to_jsonable(list(xs)),
+        "xs": to_jsonable([table.points[k] for k in ks]),
         "values": to_jsonable(list(allocation.values(instance))),
         "reports": [report_document(r) for r in reports],
     }
@@ -102,9 +147,19 @@ def sweep_prefix_grid(
     workers: int = 1,
 ) -> Iterator[tuple[dict, list[str]]]:
     """Yield (record, broken-guarantees) per instance, in instance order."""
+    candidate_reports("prefix", grid_denominator)  # rejects D < 1
+    profiles = 1
+    for _ in range(n):
+        profiles *= grid_denominator + 1
+        if profiles > SWEEP_PROFILE_CAP:
+            raise SearchSpaceTooLargeError(
+                f"prefix sweep at n={n}, D={grid_denominator} has "
+                f"{grid_denominator + 1}^{n} profiles; cap is {SWEEP_PROFILE_CAP}"
+            )
+    table = _OutcomeTable(get_mechanism(mechanism_name), grid_denominator)
     yield from ordered_map(
-        partial(_sweep_record, get_mechanism(mechanism_name), grid_denominator),
-        enumerate(all_prefix_profiles(n, grid_denominator)),
+        partial(_sweep_record, table),
+        enumerate(itertools.product(range(grid_denominator + 1), repeat=n)),
         workers,
     )
 

@@ -468,6 +468,21 @@ class TestUsageErrors:
         assert capsys.readouterr().err == serial
         assert "use the prefix family" in serial
 
+    def test_enumerate_sweep_cap(self, capsys):
+        code = main(["enumerate", "--mechanism", "prefix-cake", "--n", "10", "--grid", "8"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "prefix sweep at n=10, D=8 has 9^10 profiles; cap is 20000" in captured.err
+
+    def test_non_prefix_report_message(self, fx, capsys):
+        code = main(["verify", "--mechanism", "prefix-cake", "--instance", fx["shifted"]])
+        assert code == 2
+        assert (
+            "report must be a prefix [0, x], got [1/2, 1/1]\n"
+            in capsys.readouterr().err
+        )
+
     def test_enumerate_needs_agents(self, capsys):
         code = main(["enumerate", "--mechanism", "prefix-cake", "--n", "0"])
         assert code == 2

@@ -236,6 +236,12 @@ class TestFullAndConnected:
         report = check_full_and_connected(Allocation((iset(), iset((0, 1)))))
         assert report.verdict == "holds"
 
+    def test_covering_free_disposal_allocation(self):
+        alloc = Allocation((iset((HALF, 1)), iset((0, HALF))), free_disposal=True)
+        report = check_full_and_connected(alloc)
+        assert report.verdict == "holds"
+        assert report.witness == {"full": "holds", "connected": "holds"}
+
     def test_split_piece_witness(self):
         inst = cake(iset((0, 1)), iset((0, HALF)))
         alloc = MECH_CAKE2.run(inst)
