@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from dataclasses import dataclass
 
 from .errors import FairsliceError
 from .corpus import reproduce_records
@@ -42,21 +41,6 @@ from .serialize import (
 from .sweeps import sweep_prefix_grid
 
 _ANONYMITY_AGENT_CAP = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    format: str
-    mechanism: str | None = None
-    instance: str | None = None
-    instance_b: str | None = None
-    grid: int = 8
-    family: str | None = None
-    workers: int = 1
-    agent: str | None = None
-    n: int = 2
-    trace: bool = False
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,7 +137,7 @@ def _format_piece(piece) -> str:
     return format_intervals(piece.intervals)
 
 
-def _cmd_allocate(config: RunConfig, out) -> int:
+def _cmd_allocate(config: argparse.Namespace, out) -> int:
     mechanism = get_mechanism(config.mechanism)
     instance = _load_instance(config.instance)
     machine = config.format == "machine"
@@ -201,7 +185,7 @@ def _cmd_allocate(config: RunConfig, out) -> int:
     return 0
 
 
-def _cmd_verify(config: RunConfig, out) -> int:
+def _cmd_verify(config: argparse.Namespace, out) -> int:
     mechanism = get_mechanism(config.mechanism)
     instance = _load_instance(config.instance)
     machine = config.format == "machine"
@@ -223,7 +207,7 @@ def _cmd_verify(config: RunConfig, out) -> int:
     return 0 if all(r.holds for r in reports) else 1
 
 
-def _cmd_deviate(config: RunConfig, out) -> int:
+def _cmd_deviate(config: argparse.Namespace, out) -> int:
     mechanism = get_mechanism(config.mechanism)
     instance = _load_instance(config.instance)
     machine = config.format == "machine"
@@ -247,7 +231,7 @@ def _cmd_deviate(config: RunConfig, out) -> int:
     return 0 if all(r.holds for r in reports) else 1
 
 
-def _cmd_reproduce(config: RunConfig, out) -> int:
+def _cmd_reproduce(config: argparse.Namespace, out) -> int:
     machine = config.format == "machine"
     records = reproduce_records()
     diffs = 0
@@ -264,7 +248,7 @@ def _cmd_reproduce(config: RunConfig, out) -> int:
     return 0 if diffs == 0 else 1
 
 
-def _cmd_enumerate(config: RunConfig, out) -> int:
+def _cmd_enumerate(config: argparse.Namespace, out) -> int:
     mechanism = get_mechanism(config.mechanism)
     if not mechanism.prefix_only and mechanism.n_agents not in (None, config.n):
         raise FairsliceError(
@@ -315,7 +299,7 @@ _COMMANDS = {
 }
 
 
-def run_cli(config: RunConfig, out=None) -> int:
+def run_cli(config: argparse.Namespace, out=None) -> int:
     out = out or sys.stdout
     try:
         return _COMMANDS[config.command](config, out)
@@ -333,26 +317,15 @@ def main(argv=None) -> int:
         namespace = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    config = RunConfig(
-        command=namespace.command,
-        format=namespace.format,
-        mechanism=getattr(namespace, "mechanism", None),
-        instance=getattr(namespace, "instance", None),
-        instance_b=getattr(namespace, "instance_b", None),
-        grid=getattr(namespace, "grid", 8),
-        family=getattr(namespace, "family", None),
-        workers=max(1, getattr(namespace, "workers", 1)),
-        agent=getattr(namespace, "agent", None),
-        n=getattr(namespace, "n", 2),
-        trace=getattr(namespace, "trace", False),
-    )
-    if config.grid < 1:
+    if getattr(namespace, "grid", 1) < 1:
         print("fairslice: error: --grid must be at least 1", file=sys.stderr)
         return 2
-    if config.command == "enumerate" and config.n < 1:
+    if namespace.command == "enumerate" and namespace.n < 1:
         print("fairslice: error: --n must be at least 1", file=sys.stderr)
         return 2
-    return run_cli(config)
+    if hasattr(namespace, "workers"):
+        namespace.workers = max(1, namespace.workers)
+    return run_cli(namespace)
 
 
 if __name__ == "__main__":

@@ -1,491 +1,338 @@
 """Built-in regression corpus.
 
 Each case freezes the expected outcome of a worked example — exact pieces,
-values, verdicts, or trace facts — and re-runs it from scratch. The
-`reproduce` CLI command replays the whole corpus and diffs; any mismatch
-is a regression.
+values, verdicts, or trace facts — as one row of CASES: a name and a list
+of steps. A step is a tuple (kind, *inputs, expected). The inputs are
+plain literals in the instance file's syntax: a set is a list of
+[left, right] pairs of rationals ("p/q", decimal strings or integers), an
+instance is a resource kind followed by one set per agent. The expected
+value is the JSON form of the step's result (to_jsonable: "p/q" strings,
+canonical interval lists), so JSON equality is exact equality. A step
+whose result is an object is compared on the fields its expectation
+names only.
+
+Step kinds (see _STEPS):
+  value      desired set, piece         -> the piece's value
+  crossing   set, set                   -> crossing_point of the two
+  run        mechanism, instance        -> {pieces, values}
+  check      checker, mechanism, instance -> {verdict, witness fields}
+  misreport  mechanism, instance, agent, report -> {piece, value}: what the
+             agent gets for the report, valued truthfully
+  search     mechanism, instance, agent, grid, family -> {verdict, witness}
+  anonymity  mechanism, instance, sigma -> {verdict, witness fields}
+  position   mechanism, instance, instance -> {verdict, witness fields}
+  indicator  instance                   -> [[subset, length], ...]
+  eat        instance                   -> {pieces, meeting_point,
+                                            first_event}
+  crossing-vs-eating  instance          -> {property: verdict}
+
+Nothing is parsed at import. `reproduce_records` replays every case; any
+mismatch is a regression.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable
-
 from .eating import simulate_eating
 from .intervals import IntervalSet
-from .mechanisms import (
-    allocate_cut_and_choose,
-    crossing_point,
-    get_mechanism,
-)
+from .mechanisms import crossing_point, get_mechanism
 from .model import Instance, Resource, Valuation
 from .properties import (
+    PropertyReport,
+    check_anonymity,
+    check_crossing_vs_eating,
     check_envy_free,
     check_full_and_connected,
     check_pareto,
-    check_proportional,
-    check_anonymity,
     check_position_oblivious,
+    check_proportional,
     indicator_vector,
     search_deviations,
 )
+from .rationals import parse_rational
 from .serialize import to_jsonable
 
-F = Fraction
-
-
-def _set(*pairs: tuple) -> IntervalSet:
-    return IntervalSet.from_endpoints([(F(a), F(b)) for a, b in pairs])
-
-
-def _instance(kind: Resource, *desired: IntervalSet) -> Instance:
-    return Instance(kind, tuple(Valuation(w) for w in desired))
-
-
-def _cake(*desired: IntervalSet) -> Instance:
-    return _instance(Resource.CAKE, *desired)
-
-
-def _chore(*desired: IntervalSet) -> Instance:
-    return _instance(Resource.CHORE, *desired)
-
-
-@dataclass(frozen=True)
-class CorpusCase:
-    name: str
-    run: Callable[[], tuple[bool, object, object]]  # (match, expected, actual)
-
-
-def _mechanism_case(
-    mechanism_name: str,
-    instance: Instance,
-    expected_pieces: tuple[IntervalSet, ...],
-    expected_values: tuple[Fraction, ...],
-):
-    def run():
-        allocation = get_mechanism(mechanism_name).run(instance)
-        actual = (allocation.pieces, allocation.values(instance))
-        return (
-            actual == (expected_pieces, expected_values),
-            (expected_pieces, expected_values),
-            actual,
-        )
-
-    return run
-
-
-def _crossing_cases():
-    cases = (
-        (_set((0, 1)), _set((0, "1/2")), F(1, 4)),
-        (_set((0, 1)), _set((0, 1)), F(1, 2)),
-        (_set((0, "1/5")), _set(("9/10", 1)), F(1, 10)),
-    )
-
-    def run():
-        actual = tuple(crossing_point(w1, w2) for w1, w2, _ in cases)
-        expected = tuple(x for _, _, x in cases)
-        return actual == expected, expected, actual
-
-    return run
-
-
-def _cut_and_choose_honest():
-    def run():
-        instance = _cake(_set((0, 1)), _set((0, "1/4")))
-        allocation = allocate_cut_and_choose(instance)
-        actual = (allocation.pieces, allocation.values(instance))
-        expected = (
-            (_set(("1/2", 1)), _set((0, "1/2"))),
-            (F(1, 2), F(1, 4)),
-        )
-        return actual == expected, expected, actual
-
-    return run
-
-
-def _cut_and_choose_manipulation():
-    def run():
-        # the cutter's classic lie: true taste everywhere, claimed taste
-        # only on the left half, which drags the cut to 1/4
-        truth = Valuation(_set((0, 1)))
-        reported = _cake(_set((0, "1/2")), _set((0, "1/4")))
-        allocation = allocate_cut_and_choose(reported)
-        actual = (allocation.pieces[0], truth.value(allocation.pieces[0]))
-        expected = (_set(("1/4", 1)), F(3, 4))
-        return actual == expected, expected, actual
-
-    return run
-
-
-def _connected_baseline():
-    def run():
-        instance = _cake(_set((0, "1/2")), _set((0, "1/2")))
-        allocation = get_mechanism("connected-baseline").run(instance)
-        coverage = check_full_and_connected(allocation)
-        actual = (
-            allocation.pieces,
-            check_envy_free(instance, allocation).verdict,
-            coverage.witness["connected"],
-            coverage.witness["full"],
-        )
-        expected = (
-            (_set(("1/4", "1/2")), _set((0, "1/4"))),
-            "holds",
-            "holds",
-            "violated",
-        )
-        return actual == expected, expected, actual
-
-    return run
-
-
-def _value_example():
-    def run():
-        v = Valuation(_set((0, 1)))
-        actual = v.value(_set((0, "1/4"), ("1/2", 1)))
-        return actual == F(3, 4), F(3, 4), actual
-
-    return run
-
-
-def _pareto_on_crossing_outputs():
-    def run():
-        instances = (
-            _cake(_set((0, "1/2")), _set((0, 1))),
-            _cake(_set((0, 1)), _set((0, "1/2"))),
-            _cake(_set(("1/2", 1)), _set((0, 1))),
-        )
-        mech = get_mechanism("cake2")
-        actual = tuple(
-            check_pareto(inst, mech.run(inst)).verdict for inst in instances
-        )
-        expected = ("holds", "holds", "holds")
-        return actual == expected, expected, actual
-
-    return run
-
-
-def _coverage_flags():
-    def run():
-        instance = _cake(_set((0, 1)), _set((0, "1/2")))
-        report = check_full_and_connected(get_mechanism("cake2").run(instance))
-        actual = (report.witness["full"], report.witness["connected"])
-        expected = ("holds", "violated")
-        return actual == expected, expected, actual
-
-    return run
-
-
-def _indicator_match():
-    def run():
-        a = _cake(_set((0, "1/2")), _set((0, 1)))
-        b = _cake(_set(("1/2", 1)), _set((0, 1)))
-        va, vb = indicator_vector(a), indicator_vector(b)
-        expected = {
-            frozenset(): F(0),
-            frozenset({0}): F(0),
-            frozenset({1}): F(1, 2),
-            frozenset({0, 1}): F(1, 2),
-        }
-        return (va == expected and vb == expected), expected, (va, vb)
-
-    return run
-
-
-def _anonymity_violation():
-    def run():
-        instance = _cake(_set((0, "1/2")), _set((0, 1)))
-        report = check_anonymity(get_mechanism("cake2"), instance, (1, 0))
-        actual = (
-            report.verdict,
-            report.witness.get("original_value"),
-            report.witness.get("permuted_value"),
-        )
-        expected = ("violated", F(1, 2), F(1, 4))
-        return actual == expected, expected, actual
-
-    return run
-
-
-def _position_sensitivity():
-    def run():
-        a = _cake(_set((0, "1/2")), _set((0, 1)))
-        b = _cake(_set(("1/2", 1)), _set((0, 1)))
-        report = check_position_oblivious(get_mechanism("cake2"), a, b)
-        actual = (
-            report.verdict,
-            report.witness["values_a"],
-            report.witness["values_b"],
-        )
-        expected = ("violated", (F(1, 2), F(1, 2)), (F(1, 4), F(3, 4)))
-        return actual == expected, expected, actual
-
-    return run
-
-
-def _cutter_deviation_found():
-    def run():
-        instance = _cake(_set((0, 1)), _set((0, "1/4")))
-        report = search_deviations(
-            get_mechanism("cut-and-choose"), instance, 0, 4, "subsets"
-        )
-        # the half-cake lie must be profitable on replay, whatever the
-        # search ranks best
-        truth = instance.valuations[0]
-        lied = _cake(_set((0, "1/2")), _set((0, "1/4")))
-        replay = truth.value(allocate_cut_and_choose(lied).pieces[0])
-        actual = (report.verdict, report.witness["truthful_value"], replay)
-        expected = ("violated", F(1, 2), F(3, 4))
-        return actual == expected, expected, actual
-
-    return run
-
-
-def _crossing_truthful_at_grid():
-    def run():
-        instance = _cake(_set((0, 1)), _set((0, "1/4")))
-        mech = get_mechanism("cake2")
-        actual = tuple(
-            search_deviations(mech, instance, agent, 4, "subsets").verdict
-            for agent in (0, 1)
-        )
-        return actual == ("holds", "holds"), ("holds", "holds"), actual
-
-    return run
-
-
-def _eating_jump_trace():
-    def run():
-        instance = _cake(_set((0, 1)), _set((0, "1/2")))
-        allocation, trace = simulate_eating(instance)
-        first = trace.events[0]
-        actual = (
-            allocation.pieces,
-            trace.meeting_point,
-            (first.time, first.agent, first.kind, first.position),
-        )
-        expected = (
-            (_set((0, "1/4"), ("1/2", 1)), _set(("1/4", "1/2"))),
-            F(1, 4),
-            (F(0), 1, "jump", F(1, 2)),
-        )
-        return actual == expected, expected, actual
-
-    return run
-
-
-def _eating_walk():
-    def run():
-        instance = _cake(_set((0, "1/5")), _set(("9/10", 1)))
-        allocation, trace = simulate_eating(instance)
-        actual = (allocation.pieces, trace.meeting_point)
-        expected = ((_set((0, "9/10")), _set(("9/10", 1))), F(9, 10))
-        return actual == expected, expected, actual
-
-    return run
-
-
-def _eating_symmetric():
-    def run():
-        instance = _cake(_set((0, 1)), _set((0, 1)))
-        allocation, trace = simulate_eating(instance)
-        actual = (allocation.pieces, trace.meeting_point)
-        expected = ((_set((0, "1/2")), _set(("1/2", 1))), F(1, 2))
-        return actual == expected, expected, actual
-
-    return run
-
-
-def _proportionality_thresholds():
-    def run():
-        chore = instance_prefix(Resource.CHORE, ("3/5", "3/10", "9/10"))
-        cake = instance_prefix(Resource.CAKE, (1, "1/2", "9/10"))
-        actual = (
-            check_proportional(chore, get_mechanism("prefix-chore").run(chore)).verdict,
-            check_proportional(cake, get_mechanism("prefix-cake").run(cake)).verdict,
-        )
-        return actual == ("holds", "holds"), ("holds", "holds"), actual
-
-    return run
-
-
-def _prefix_chore_envy_witness():
-    def run():
-        instance = instance_prefix(Resource.CHORE, ("3/5", "3/10", "9/10"))
-        report = check_envy_free(
-            instance, get_mechanism("prefix-chore").run(instance)
-        )
-        actual = (
-            report.verdict,
-            report.witness["agent"],
-            report.witness["other"],
-            report.witness["own_value"],
-            report.witness["other_value"],
-        )
-        expected = ("violated", "a1", "a3", F(1, 5), F(0))
-        return actual == expected, expected, actual
-
-    return run
-
-
-def instance_prefix(kind: Resource, xs) -> Instance:
-    return Instance(
-        kind, tuple(Valuation(_set((0, x))) for x in xs)
-    )
-
-
-CASES: tuple[CorpusCase, ...] = (
-    CorpusCase("value-additivity", _value_example()),
-    CorpusCase("crossing-points", _crossing_cases()),
-    CorpusCase(
-        "cake2-even-split",
-        _mechanism_case(
-            "cake2",
-            _cake(_set((0, "1/2")), _set((0, 1))),
-            (_set((0, "1/2")), _set(("1/2", 1))),
-            (F(1, 2), F(1, 2)),
-        ),
-    ),
-    CorpusCase(
-        "cake2-uneven-split",
-        _mechanism_case(
-            "cake2",
-            _cake(_set((0, 1)), _set((0, "1/2"))),
-            (_set((0, "1/4"), ("1/2", 1)), _set(("1/4", "1/2"))),
-            (F(3, 4), F(1, 4)),
-        ),
-    ),
-    CorpusCase(
-        "cake2-mirrored-split",
-        _mechanism_case(
-            "cake2",
-            _cake(_set(("1/2", 1)), _set((0, 1))),
-            (_set(("1/2", "3/4")), _set((0, "1/2"), ("3/4", 1))),
-            (F(1, 4), F(3, 4)),
-        ),
-    ),
-    CorpusCase(
-        "cake2-gap-split",
-        _mechanism_case(
-            "cake2",
-            _cake(_set((0, "1/5")), _set(("9/10", 1))),
-            (_set((0, "9/10")), _set(("9/10", 1))),
-            (F(1, 5), F(1, 10)),
-        ),
-    ),
-    CorpusCase(
-        "chore2-swap",
-        _mechanism_case(
-            "chore2",
-            _chore(_set((0, 1)), _set((0, "1/2"))),
-            (_set(("1/4", "1/2")), _set((0, "1/4"), ("1/2", 1))),
-            (F(1, 4), F(1, 4)),
-        ),
-    ),
-    CorpusCase(
-        "prefix-cake-rounds",
-        _mechanism_case(
-            "prefix-cake",
-            instance_prefix(Resource.CAKE, (1, "1/2", "9/10")),
-            (
-                _set((0, "1/4"), ("3/4", "33/40"), ("9/10", 1)),
-                _set(("1/4", "1/2")),
-                _set(("1/2", "3/4"), ("33/40", "9/10")),
-            ),
-            (F(17, 40), F(1, 4), F(13, 40)),
-        ),
-    ),
-    CorpusCase(
-        "prefix-cake-zero-exit",
-        _mechanism_case(
-            "prefix-cake",
-            instance_prefix(Resource.CAKE, (0, 1)),
-            (IntervalSet(), _set((0, 1))),
-            (F(0), F(1)),
-        ),
-    ),
-    CorpusCase(
-        "prefix-chore-shares",
-        _mechanism_case(
-            "prefix-chore",
-            instance_prefix(Resource.CHORE, ("3/5", "3/10", "9/10")),
-            (
-                _set((0, "1/5"), ("3/5", 1)),
-                _set(("1/5", "3/5")),
-                IntervalSet(),
-            ),
-            (F(1, 5), F(1, 10), F(0)),
-        ),
-    ),
-    CorpusCase(
-        "prefix-chore-giveaway",
-        _mechanism_case(
-            "prefix-chore",
-            instance_prefix(Resource.CHORE, ("9/10", "1/5", "4/5")),
-            (
-                _set((0, "1/5"), ("9/10", 1)),
-                _set(("1/5", "9/10")),
-                IntervalSet(),
-            ),
-            (F(1, 5), F(0), F(0)),
-        ),
-    ),
+# Instances shared by several cases, named by what each agent desires
+_CAKE_HALF_WHOLE = ["cake", [[0, "1/2"]], [[0, 1]]]
+_CAKE_WHOLE_HALF = ["cake", [[0, 1]], [[0, "1/2"]]]
+_CAKE_UPPER_WHOLE = ["cake", [["1/2", 1]], [[0, 1]]]
+_CAKE_WHOLE_WHOLE = ["cake", [[0, 1]], [[0, 1]]]
+_CAKE_HALF_HALF = ["cake", [[0, "1/2"]], [[0, "1/2"]]]
+_CAKE_GAP = ["cake", [[0, "1/5"]], [["9/10", 1]]]
+_CAKE_CUTTER = ["cake", [[0, 1]], [[0, "1/4"]]]
+_PREFIX_CAKE = ["cake", [[0, 1]], [[0, "1/2"]], [[0, "9/10"]]]
+_PREFIX_CHORE = ["chore", [[0, "3/5"]], [[0, "3/10"]], [[0, "9/10"]]]
+
+# One row per case: (name, steps). Laid out by hand as a table, one step
+# to a line or a few.
+# fmt: off
+CASES: tuple[tuple[str, list[tuple]], ...] = (
+    ("value-additivity", [
+        ("value", [[0, 1]], [[0, "1/4"], ["1/2", 1]], "3/4"),
+    ]),
+    ("crossing-points", [
+        ("crossing", [[0, 1]], [[0, "1/2"]], "1/4"),
+        ("crossing", [[0, 1]], [[0, 1]], "1/2"),
+        ("crossing", [[0, "1/5"]], [["9/10", 1]], "1/10"),
+    ]),
+    ("cake2-even-split", [
+        ("run", "cake2", _CAKE_HALF_WHOLE,
+         {"pieces": [[["0/1", "1/2"]], [["1/2", "1/1"]]],
+          "values": ["1/2", "1/2"]}),
+    ]),
+    ("cake2-uneven-split", [
+        ("run", "cake2", _CAKE_WHOLE_HALF,
+         {"pieces": [[["0/1", "1/4"], ["1/2", "1/1"]], [["1/4", "1/2"]]],
+          "values": ["3/4", "1/4"]}),
+    ]),
+    ("cake2-mirrored-split", [
+        ("run", "cake2", _CAKE_UPPER_WHOLE,
+         {"pieces": [[["1/2", "3/4"]], [["0/1", "1/2"], ["3/4", "1/1"]]],
+          "values": ["1/4", "3/4"]}),
+    ]),
+    ("cake2-gap-split", [
+        ("run", "cake2", _CAKE_GAP,
+         {"pieces": [[["0/1", "9/10"]], [["9/10", "1/1"]]],
+          "values": ["1/5", "1/10"]}),
+    ]),
+    ("chore2-swap", [
+        ("run", "chore2", ["chore", [[0, 1]], [[0, "1/2"]]],
+         {"pieces": [[["1/4", "1/2"]], [["0/1", "1/4"], ["1/2", "1/1"]]],
+          "values": ["1/4", "1/4"]}),
+    ]),
+    ("prefix-cake-rounds", [
+        ("run", "prefix-cake", _PREFIX_CAKE,
+         {"pieces": [[["0/1", "1/4"], ["3/4", "33/40"], ["9/10", "1/1"]],
+                     [["1/4", "1/2"]],
+                     [["1/2", "3/4"], ["33/40", "9/10"]]],
+          "values": ["17/40", "1/4", "13/40"]}),
+    ]),
+    ("prefix-cake-zero-exit", [
+        ("run", "prefix-cake", ["cake", [[0, 0]], [[0, 1]]],
+         {"pieces": [[], [["0/1", "1/1"]]], "values": ["0/1", "1/1"]}),
+    ]),
+    ("prefix-chore-shares", [
+        ("run", "prefix-chore", _PREFIX_CHORE,
+         {"pieces": [[["0/1", "1/5"], ["3/5", "1/1"]], [["1/5", "3/5"]], []],
+          "values": ["1/5", "1/10", "0/1"]}),
+    ]),
+    ("prefix-chore-giveaway", [
+        ("run", "prefix-chore", ["chore", [[0, "9/10"]], [[0, "1/5"]], [[0, "4/5"]]],
+         {"pieces": [[["0/1", "1/5"], ["9/10", "1/1"]], [["1/5", "9/10"]], []],
+          "values": ["1/5", "0/1", "0/1"]}),
+    ]),
     # The first agent's free-tail grab [1/4, 1] already carried off the part
     # of agent 2's work beyond 1/4, so agent 2's slice is measured against
     # the remainder's reach 1/4, not her full 1/2 — the clipping that keeps
     # honest reporting optimal.
-    CorpusCase(
-        "prefix-chore-clipped-slice",
-        _mechanism_case(
-            "prefix-chore",
-            instance_prefix(Resource.CHORE, ("1/4", "1/2", "1/2")),
-            (
-                _set((0, "1/12"), ("1/4", 1)),
-                _set(("1/12", "1/6")),
-                _set(("1/6", "1/4")),
-            ),
-            (F(1, 12), F(1, 12), F(1, 12)),
-        ),
-    ),
-    CorpusCase("cut-and-choose-honest", _cut_and_choose_honest()),
-    CorpusCase("cut-and-choose-manipulation", _cut_and_choose_manipulation()),
-    CorpusCase("connected-baseline-split", _connected_baseline()),
-    CorpusCase("pareto-on-crossing-outputs", _pareto_on_crossing_outputs()),
-    CorpusCase("coverage-flags", _coverage_flags()),
-    CorpusCase("indicator-match", _indicator_match()),
-    CorpusCase("anonymity-violation", _anonymity_violation()),
-    CorpusCase("position-sensitivity", _position_sensitivity()),
-    CorpusCase("cutter-deviation-found", _cutter_deviation_found()),
-    CorpusCase("crossing-truthful-at-grid", _crossing_truthful_at_grid()),
-    CorpusCase("eating-jump-trace", _eating_jump_trace()),
-    CorpusCase("eating-walk", _eating_walk()),
-    CorpusCase("eating-symmetric", _eating_symmetric()),
-    CorpusCase("proportionality-thresholds", _proportionality_thresholds()),
-    CorpusCase("prefix-chore-envy-witness", _prefix_chore_envy_witness()),
+    ("prefix-chore-clipped-slice", [
+        ("run", "prefix-chore", ["chore", [[0, "1/4"]], [[0, "1/2"]], [[0, "1/2"]]],
+         {"pieces": [[["0/1", "1/12"], ["1/4", "1/1"]],
+                     [["1/12", "1/6"]],
+                     [["1/6", "1/4"]]],
+          "values": ["1/12", "1/12", "1/12"]}),
+    ]),
+    ("cut-and-choose-honest", [
+        ("run", "cut-and-choose", _CAKE_CUTTER,
+         {"pieces": [[["1/2", "1/1"]], [["0/1", "1/2"]]],
+          "values": ["1/2", "1/4"]}),
+    ]),
+    # the cutter's classic lie: true taste everywhere, claimed taste only on
+    # the left half, which drags the cut to 1/4
+    ("cut-and-choose-manipulation", [
+        ("misreport", "cut-and-choose", _CAKE_CUTTER, 0, [[0, "1/2"]],
+         {"piece": [["1/4", "1/1"]], "value": "3/4"}),
+    ]),
+    ("connected-baseline-split", [
+        ("run", "connected-baseline", _CAKE_HALF_HALF,
+         {"pieces": [[["1/4", "1/2"]], [["0/1", "1/4"]]]}),
+        ("check", "envy-free", "connected-baseline", _CAKE_HALF_HALF,
+         {"verdict": "holds"}),
+        ("check", "full-and-connected", "connected-baseline", _CAKE_HALF_HALF,
+         {"connected": "holds", "full": "violated"}),
+    ]),
+    ("pareto-on-crossing-outputs", [
+        ("check", "pareto", "cake2", _CAKE_HALF_WHOLE, {"verdict": "holds"}),
+        ("check", "pareto", "cake2", _CAKE_WHOLE_HALF, {"verdict": "holds"}),
+        ("check", "pareto", "cake2", _CAKE_UPPER_WHOLE, {"verdict": "holds"}),
+    ]),
+    ("coverage-flags", [
+        ("check", "full-and-connected", "cake2", _CAKE_WHOLE_HALF,
+         {"full": "holds", "connected": "violated"}),
+    ]),
+    ("indicator-match", [
+        ("indicator", _CAKE_HALF_WHOLE,
+         [[[], "0/1"], [[0], "0/1"], [[1], "1/2"], [[0, 1], "1/2"]]),
+        ("indicator", _CAKE_UPPER_WHOLE,
+         [[[], "0/1"], [[0], "0/1"], [[1], "1/2"], [[0, 1], "1/2"]]),
+    ]),
+    ("anonymity-violation", [
+        ("anonymity", "cake2", _CAKE_HALF_WHOLE, [1, 0],
+         {"verdict": "violated", "original_value": "1/2", "permuted_value": "1/4"}),
+    ]),
+    ("position-sensitivity", [
+        ("position", "cake2", _CAKE_HALF_WHOLE, _CAKE_UPPER_WHOLE,
+         {"verdict": "violated",
+          "values_a": ["1/2", "1/2"], "values_b": ["1/4", "3/4"]}),
+    ]),
+    # the half-cake lie must be profitable on replay, whatever the search
+    # ranks best
+    ("cutter-deviation-found", [
+        ("search", "cut-and-choose", _CAKE_CUTTER, 0, 4, "subsets",
+         {"verdict": "violated", "truthful_value": "1/2"}),
+        ("misreport", "cut-and-choose", _CAKE_CUTTER, 0, [[0, "1/2"]],
+         {"value": "3/4"}),
+    ]),
+    ("crossing-truthful-at-grid", [
+        ("search", "cake2", _CAKE_CUTTER, 0, 4, "subsets", {"verdict": "holds"}),
+        ("search", "cake2", _CAKE_CUTTER, 1, 4, "subsets", {"verdict": "holds"}),
+    ]),
+    ("eating-jump-trace", [
+        ("eat", _CAKE_WHOLE_HALF,
+         {"pieces": [[["0/1", "1/4"], ["1/2", "1/1"]], [["1/4", "1/2"]]],
+          "meeting_point": "1/4",
+          "first_event": ["0/1", 1, "jump", "1/2"]}),
+        ("run", "cake2-eating", _CAKE_WHOLE_HALF,
+         {"pieces": [[["0/1", "1/4"], ["1/2", "1/1"]], [["1/4", "1/2"]]]}),
+        ("crossing-vs-eating", _CAKE_WHOLE_HALF,
+         {"crossing-vs-eating-values": "holds", "crossing-vs-eating-pieces": "holds"}),
+    ]),
+    ("eating-walk", [
+        ("eat", _CAKE_GAP,
+         {"pieces": [[["0/1", "9/10"]], [["9/10", "1/1"]]], "meeting_point": "9/10"}),
+        ("crossing-vs-eating", _CAKE_GAP,
+         {"crossing-vs-eating-values": "holds", "crossing-vs-eating-pieces": "holds"}),
+    ]),
+    ("eating-symmetric", [
+        ("eat", _CAKE_WHOLE_WHOLE,
+         {"pieces": [[["0/1", "1/2"]], [["1/2", "1/1"]]], "meeting_point": "1/2"}),
+        ("crossing-vs-eating", _CAKE_WHOLE_WHOLE,
+         {"crossing-vs-eating-values": "holds", "crossing-vs-eating-pieces": "holds"}),
+    ]),
+    ("proportionality-thresholds", [
+        ("check", "proportional", "prefix-chore", _PREFIX_CHORE, {"verdict": "holds"}),
+        ("check", "proportional", "prefix-cake", _PREFIX_CAKE, {"verdict": "holds"}),
+    ]),
+    ("prefix-chore-envy-witness", [
+        ("check", "envy-free", "prefix-chore", _PREFIX_CHORE,
+         {"verdict": "violated", "agent": "a1", "other": "a3",
+          "own_value": "1/5", "other_value": "0/1"}),
+    ]),
 )
+# fmt: on
+
+
+def _set(pairs) -> IntervalSet:
+    return IntervalSet.from_endpoints(
+        [(parse_rational(left), parse_rational(right)) for left, right in pairs]
+    )
+
+
+def _instance(spec) -> Instance:
+    kind, *desired = spec
+    return Instance(Resource(kind), tuple(Valuation(_set(w)) for w in desired))
+
+
+def _report(report: PropertyReport) -> dict:
+    return {"verdict": report.verdict, **(report.witness or {})}
+
+
+def _run(mechanism: str, spec) -> dict:
+    instance = _instance(spec)
+    allocation = get_mechanism(mechanism).run(instance)
+    return {"pieces": allocation.pieces, "values": allocation.values(instance)}
+
+
+def _check(checker: str, mechanism: str, spec) -> dict:
+    instance = _instance(spec)
+    allocation = get_mechanism(mechanism).run(instance)
+    return _report(_CHECKERS[checker](instance, allocation))
+
+
+def _misreport(mechanism: str, spec, agent: int, report) -> dict:
+    instance = _instance(spec)
+    lied = instance.with_valuation(agent, Valuation(_set(report)))
+    piece = get_mechanism(mechanism).run(lied).pieces[agent]
+    return {"piece": piece, "value": instance.valuations[agent].value(piece)}
+
+
+def _search(mechanism: str, spec, agent: int, grid: int, family: str) -> dict:
+    mech = get_mechanism(mechanism)
+    return _report(search_deviations(mech, _instance(spec), agent, grid, family))
+
+
+def _anonymity(mechanism: str, spec, sigma) -> dict:
+    return _report(check_anonymity(get_mechanism(mechanism), _instance(spec), sigma))
+
+
+def _position(mechanism: str, spec_a, spec_b) -> dict:
+    return _report(
+        check_position_oblivious(
+            get_mechanism(mechanism), _instance(spec_a), _instance(spec_b)
+        )
+    )
+
+
+def _indicator(spec) -> list:
+    vector = indicator_vector(_instance(spec))
+    return [[sorted(subset), length] for subset, length in vector.items()]
+
+
+def _eat(spec) -> dict:
+    allocation, trace = simulate_eating(_instance(spec))
+    first = trace.events[0]
+    return {
+        "pieces": allocation.pieces,
+        "meeting_point": trace.meeting_point,
+        "first_event": [first.time, first.agent, first.kind, first.position],
+    }
+
+
+def _crossing_vs_eating(spec) -> dict:
+    return {r.property: r.verdict for r in check_crossing_vs_eating(_instance(spec))}
+
+
+_CHECKERS = {
+    "envy-free": check_envy_free,
+    "proportional": check_proportional,
+    "pareto": check_pareto,
+    "full-and-connected": lambda _, allocation: check_full_and_connected(allocation),
+}
+
+_STEPS = {
+    "value": lambda desired, piece: Valuation(_set(desired)).value(_set(piece)),
+    "crossing": lambda w1, w2: crossing_point(_set(w1), _set(w2)),
+    "run": _run,
+    "check": _check,
+    "misreport": _misreport,
+    "search": _search,
+    "anonymity": _anonymity,
+    "position": _position,
+    "indicator": _indicator,
+    "eat": _eat,
+    "crossing-vs-eating": _crossing_vs_eating,
+}
+
+
+def _replay(kind: str, *inputs_and_expected):
+    """One step's result in JSON form, limited to the expected fields when
+    the result is an object."""
+    *inputs, expected = inputs_and_expected
+    result = to_jsonable(_STEPS[kind](*inputs))
+    if isinstance(result, dict):
+        return {key: result.get(key) for key in expected}
+    return result
 
 
 def reproduce_records() -> list[dict]:
-    """Replay everything; one record per case."""
+    """Replay every case; one record per case, in table order."""
     records = []
-    for case in CASES:
-        match, expected, actual = case.run()
-        record = {
-            "case": case.name,
-            "status": "match" if match else "diff",
-        }
+    for name, steps in CASES:
+        expected = [step[-1] for step in steps]
+        actual = [_replay(*step) for step in steps]
+        match = actual == expected
+        record = {"case": name, "status": "match" if match else "diff"}
         if not match:
-            record["expected"] = _loose_jsonable(expected)
-            record["actual"] = _loose_jsonable(actual)
+            record["expected"] = expected
+            record["actual"] = actual
         records.append(record)
     return records
-
-
-def _loose_jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _loose_jsonable(v) for k, v in value.items()}
-    try:
-        return to_jsonable(value)
-    except Exception:
-        return repr(value)

@@ -258,7 +258,6 @@ class MechanismInfo:
     kind: Resource
     n_agents: int | None  # None = any number
     prefix_only: bool
-    free_disposal: bool
     guarantees: frozenset[str]
     run: Callable[[Instance], Allocation]
 
@@ -272,26 +271,24 @@ MECHANISMS: dict[str, MechanismInfo] = {
     m.name: m
     for m in (
         MechanismInfo(
-            "cake2", Resource.CAKE, 2, False, False, _EXACT_GUARANTEES, allocate_cake2
+            "cake2", Resource.CAKE, 2, False, _EXACT_GUARANTEES, allocate_cake2
         ),
         MechanismInfo(
             "cake2-eating",
             Resource.CAKE,
             2,
             False,
-            False,
             _EXACT_GUARANTEES,
             allocate_cake2_eating,
         ),
         MechanismInfo(
-            "chore2", Resource.CHORE, 2, False, False, _EXACT_GUARANTEES, allocate_chore2
+            "chore2", Resource.CHORE, 2, False, _EXACT_GUARANTEES, allocate_chore2
         ),
         MechanismInfo(
             "prefix-cake",
             Resource.CAKE,
             None,
             True,
-            False,
             _EXACT_GUARANTEES,
             allocate_prefix_cake,
         ),
@@ -300,7 +297,6 @@ MECHANISMS: dict[str, MechanismInfo] = {
             Resource.CHORE,
             None,
             True,
-            False,
             frozenset({"proportional", "pareto", "full", "truthful"}),
             allocate_prefix_chore,
         ),
@@ -309,7 +305,6 @@ MECHANISMS: dict[str, MechanismInfo] = {
             Resource.CAKE,
             2,
             False,
-            False,
             frozenset({"envy-free", "proportional", "full"}),
             allocate_cut_and_choose,
         ),
@@ -317,7 +312,6 @@ MECHANISMS: dict[str, MechanismInfo] = {
             "connected-baseline",
             Resource.CAKE,
             2,
-            True,
             True,
             frozenset({"envy-free", "connected"}),
             allocate_connected_baseline,

@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -32,6 +33,8 @@ from .model import Allocation, Instance, Resource, Valuation
 
 _INDICATOR_AGENT_CAP = 16
 SUBSET_GRID_CAP = 14
+# the prefix family may reach D = 2^14, the subset family's candidate count
+PREFIX_GRID_CAP = 1 << SUBSET_GRID_CAP
 
 
 @dataclass(frozen=True)
@@ -227,23 +230,16 @@ def indicator_vector(instance: Instance) -> dict[frozenset[int], Fraction]:
             f"indicator vector has 2^{instance.n} entries; cap is 2^{_INDICATOR_AGENT_CAP}"
         )
     desired = [v.desired for v in instance.valuations]
-    entries: dict[frozenset[int], Fraction] = {}
-    for size in range(instance.n + 1):
-        _fill_subsets(entries, instance.n, size)
+    entries = {
+        frozenset(combo): ZERO
+        for size in range(instance.n + 1)
+        for combo in combinations(range(instance.n), size)
+    }
     for left, right in _atoms(desired):
         mid = (left + right) / 2
         key = frozenset(i for i, w in enumerate(desired) if w.contains(mid))
         entries[key] += right - left
     return entries
-
-
-def _fill_subsets(
-    entries: dict[frozenset[int], Fraction], n: int, size: int
-) -> None:
-    from itertools import combinations
-
-    for combo in combinations(range(n), size):
-        entries[frozenset(combo)] = ZERO
 
 
 def check_anonymity(
@@ -344,12 +340,9 @@ def check_crossing_vs_eating(instance: Instance) -> tuple[PropertyReport, Proper
 # -- truthfulness -----------------------------------------------------------
 
 
-def grid_prefix_reports(grid_denominator: int) -> tuple[IntervalSet, ...]:
-    """All prefixes [0, k/D], k = 0..D."""
-    d = Fraction(grid_denominator)
-    return tuple(
-        IntervalSet.prefix(Fraction(k) / d) for k in range(grid_denominator + 1)
-    )
+def grid_points(grid_denominator: int) -> tuple[Fraction, ...]:
+    """The grid k/D, k = 0..D."""
+    return tuple(Fraction(k, grid_denominator) for k in range(grid_denominator + 1))
 
 
 def grid_subset_reports(grid_denominator: int) -> tuple[IntervalSet, ...]:
@@ -359,10 +352,8 @@ def grid_subset_reports(grid_denominator: int) -> tuple[IntervalSet, ...]:
             f"subset family at D={grid_denominator} has 2^{grid_denominator} "
             f"candidates; cap is D={SUBSET_GRID_CAP}"
         )
-    d = Fraction(grid_denominator)
-    cells = [
-        (Fraction(k) / d, Fraction(k + 1) / d) for k in range(grid_denominator)
-    ]
+    points = grid_points(grid_denominator)
+    cells = list(zip(points, points[1:]))
     reports = []
     for mask in range(1 << grid_denominator):
         reports.append(
@@ -380,7 +371,12 @@ def candidate_reports(family: str, grid_denominator: int) -> tuple[IntervalSet, 
     if grid_denominator < 1:
         raise PreconditionUnmetError("grid denominator must be at least 1")
     if family == "prefix":
-        return grid_prefix_reports(grid_denominator)
+        if grid_denominator > PREFIX_GRID_CAP:
+            raise SearchSpaceTooLargeError(
+                f"prefix family at D={grid_denominator} has {grid_denominator + 1} "
+                f"candidates; cap is D={PREFIX_GRID_CAP}"
+            )
+        return tuple(IntervalSet.prefix(x) for x in grid_points(grid_denominator))
     if family == "subsets":
         return grid_subset_reports(grid_denominator)
     raise PreconditionUnmetError(

@@ -35,6 +35,7 @@ from .properties import (
     PropertyReport,
     allocation_reports,
     candidate_reports,
+    grid_points,
     ordered_map,
     summarize_deviation_search,
 )
@@ -44,11 +45,6 @@ from .serialize import report_document, to_jsonable
 # with n. The largest table this cap allows (prefix-cake, n=9, D=2) holds
 # about 50 MiB.
 SWEEP_PROFILE_CAP = 20_000
-
-
-def grid_points(grid_denominator: int) -> tuple[Fraction, ...]:
-    d = Fraction(grid_denominator)
-    return tuple(Fraction(k) / d for k in range(grid_denominator + 1))
 
 
 def instance_from_prefixes(kind: Resource, xs: Sequence[Fraction]) -> Instance:
@@ -147,7 +143,6 @@ def sweep_prefix_grid(
     workers: int = 1,
 ) -> Iterator[tuple[dict, list[str]]]:
     """Yield (record, broken-guarantees) per instance, in instance order."""
-    candidate_reports("prefix", grid_denominator)  # rejects D < 1
     profiles = 1
     for _ in range(n):
         profiles *= grid_denominator + 1
@@ -156,6 +151,7 @@ def sweep_prefix_grid(
                 f"prefix sweep at n={n}, D={grid_denominator} has "
                 f"{grid_denominator + 1}^{n} profiles; cap is {SWEEP_PROFILE_CAP}"
             )
+    candidate_reports("prefix", grid_denominator)  # rejects D < 1
     table = _OutcomeTable(get_mechanism(mechanism_name), grid_denominator)
     yield from ordered_map(
         partial(_sweep_record, table),
@@ -194,11 +190,7 @@ def random_two_agent_instance(rng: Random, kind: Resource = Resource.CAKE) -> In
 
 def random_grid_subset(rng: Random, grid_denominator: int) -> IntervalSet:
     """A random union of cells of the uniform grid."""
-    d = Fraction(grid_denominator)
+    points = grid_points(grid_denominator)
     return IntervalSet.from_endpoints(
-        [
-            (Fraction(k) / d, Fraction(k + 1) / d)
-            for k in range(grid_denominator)
-            if rng.getrandbits(1)
-        ]
+        [cell for cell in zip(points, points[1:]) if rng.getrandbits(1)]
     )

@@ -1,6 +1,7 @@
 """End-to-end command line behavior through ``main``."""
 
 import json
+import time
 
 import pytest
 
@@ -474,6 +475,37 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "prefix sweep at n=10, D=8 has 9^10 profiles; cap is 20000" in captured.err
+
+    def test_huge_prefix_grid_refused_at_once(self, fx, capsys):
+        t0 = time.perf_counter()
+        code = main(
+            [
+                "deviate",
+                "--mechanism",
+                "cake2",
+                "--instance",
+                fx["uneven"],
+                "--family",
+                "prefix",
+                "--grid",
+                "1000000000",
+            ]
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert (
+            "prefix family at D=1000000000 has 1000000001 candidates; cap is D=16384"
+            in capsys.readouterr().err
+        )
+
+    def test_huge_sweep_grid_refused_at_once(self, capsys):
+        t0 = time.perf_counter()
+        code = main(
+            ["enumerate", "--mechanism", "prefix-cake", "--n", "2", "--grid", "1000000000"]
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert "has 1000000001^2 profiles; cap is 20000" in capsys.readouterr().err
 
     def test_non_prefix_report_message(self, fx, capsys):
         code = main(["verify", "--mechanism", "prefix-cake", "--instance", fx["shifted"]])

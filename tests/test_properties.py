@@ -403,6 +403,12 @@ class TestSearchDeviations:
         with pytest.raises(SearchSpaceTooLargeError, match="D=14"):
             search_deviations(MECH_CAKE2, self.CUT_INSTANCE, 0, 15, "subsets")
 
+    def test_prefix_grid_cap(self):
+        cap = properties.PREFIX_GRID_CAP
+        assert cap == 2**properties.SUBSET_GRID_CAP
+        with pytest.raises(SearchSpaceTooLargeError, match=f"cap is D={cap}"):
+            search_deviations(MECH_CAKE2, self.CUT_INSTANCE, 0, cap + 1, "prefix")
+
     def test_prefix_mechanism_rejects_subset_reports(self):
         inst = prefix_instance(Resource.CAKE, [F(1), HALF])
         with pytest.raises(PreconditionUnmetError, match="prefix family"):
