@@ -106,12 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, instance=False)
     p.add_argument("--n", type=int, default=2, help="number of agents")
     p.add_argument("--grid", type=int, default=4, help="grid denominator D")
-    p.add_argument(
-        "--family",
-        choices=("prefix",),
-        default="prefix",
-        help="instance family to enumerate",
-    )
     p.add_argument("--workers", type=int, default=1, help="parallel processes")
     return parser
 

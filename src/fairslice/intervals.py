@@ -127,6 +127,28 @@ class IntervalSet:
                 j += 1
         return total
 
+    def prefix_measures(self, grid_denominator: int) -> tuple[Fraction, ...]:
+        """|self ∩ [0, j/D]| for j = 0..D, in one walk over the intervals.
+
+        Each endpoint is placed on the grid by integer floor and ceiling,
+        so the walk makes no rational comparisons.
+        """
+        d = grid_denominator
+        row: list[Fraction] = []
+        acc = ZERO
+        for left, right in self.intervals:
+            # grid points at or left of `left` see only earlier intervals
+            while len(row) <= left.numerator * d // left.denominator:
+                row.append(acc)
+            # grid points strictly inside the interval
+            base = acc - left
+            while len(row) < -(-right.numerator * d // right.denominator):
+                row.append(base + Fraction(len(row), d))
+            acc += right - left
+        while len(row) <= d:
+            row.append(acc)
+        return tuple(row)
+
     # -- algebra -----------------------------------------------------------
 
     def union(self, other: "IntervalSet") -> "IntervalSet":

@@ -66,16 +66,32 @@ def _check_shapes(instance: Instance, allocation: Allocation) -> None:
 # -- fairness ---------------------------------------------------------------
 
 
-def check_envy_free(instance: Instance, allocation: Allocation) -> PropertyReport:
-    """No agent strictly prefers another's piece (reversed for chores)."""
+# value(i, j) is agent i's value of piece j
+ValueOf = Callable[[int, int], Fraction]
+
+
+def _piece_values(instance: Instance, allocation: Allocation) -> ValueOf:
+    """Each value measured when asked for, so a verdict that stops early
+    measures no more pieces than it reads."""
+    return lambda i, j: instance.valuations[i].value(allocation.pieces[j])
+
+
+def check_envy_free(
+    instance: Instance, allocation: Allocation, value: ValueOf | None = None
+) -> PropertyReport:
+    """No agent strictly prefers another's piece (reversed for chores).
+
+    `value` reads agent i's value of piece j; by default it is measured.
+    """
     _check_shapes(instance, allocation)
+    value = value or _piece_values(instance, allocation)
     chore = instance.kind is Resource.CHORE
-    for i, valuation in enumerate(instance.valuations):
-        own = valuation.value(allocation.pieces[i])
-        for j, piece in enumerate(allocation.pieces):
+    for i in range(instance.n):
+        own = value(i, i)
+        for j in range(instance.n):
             if i == j:
                 continue
-            other = valuation.value(piece)
+            other = value(i, j)
             envious = own > other if chore else own < other
             if envious:
                 return _violated(
@@ -90,13 +106,19 @@ def check_envy_free(instance: Instance, allocation: Allocation) -> PropertyRepor
     return _holds("envy-free")
 
 
-def check_proportional(instance: Instance, allocation: Allocation) -> PropertyReport:
-    """Each agent gets at least (cake) / carries at most (chore) a 1/n share."""
+def check_proportional(
+    instance: Instance, allocation: Allocation, value: ValueOf | None = None
+) -> PropertyReport:
+    """Each agent gets at least (cake) / carries at most (chore) a 1/n share.
+
+    `value` reads agent i's value of piece j; by default it is measured.
+    """
     _check_shapes(instance, allocation)
+    value = value or _piece_values(instance, allocation)
     chore = instance.kind is Resource.CHORE
     n = instance.n
     for i, valuation in enumerate(instance.valuations):
-        own = valuation.value(allocation.pieces[i])
+        own = value(i, i)
         threshold = valuation.total() / n
         short = own > threshold if chore else own < threshold
         if short:
@@ -200,17 +222,17 @@ def check_full_and_connected(allocation: Allocation) -> PropertyReport:
 
 
 def allocation_reports(
-    instance: Instance, allocation: Allocation
+    instance: Instance, allocation: Allocation, value: ValueOf | None = None
 ) -> list[PropertyReport]:
     """The checks every allocation gets, in report order.
 
     Pareto is left out for free-disposal allocations, where the atom
-    criterion is undefined.
+    criterion is undefined. `value` is handed to the value-based checks.
     """
     reports = [
         check_full_and_connected(allocation),
-        check_envy_free(instance, allocation),
-        check_proportional(instance, allocation),
+        check_envy_free(instance, allocation, value),
+        check_proportional(instance, allocation, value),
     ]
     if not allocation.free_disposal:
         reports.append(check_pareto(instance, allocation))
@@ -340,8 +362,14 @@ def check_crossing_vs_eating(instance: Instance) -> tuple[PropertyReport, Proper
 # -- truthfulness -----------------------------------------------------------
 
 
+def _require_grid(grid_denominator: int) -> None:
+    if grid_denominator < 1:
+        raise PreconditionUnmetError("grid denominator must be at least 1")
+
+
 def grid_points(grid_denominator: int) -> tuple[Fraction, ...]:
     """The grid k/D, k = 0..D."""
+    _require_grid(grid_denominator)
     return tuple(Fraction(k, grid_denominator) for k in range(grid_denominator + 1))
 
 
@@ -368,8 +396,7 @@ def grid_subset_reports(grid_denominator: int) -> tuple[IntervalSet, ...]:
 def candidate_reports(family: str, grid_denominator: int) -> tuple[IntervalSet, ...]:
     """The report family's candidates in canonical order, built once per
     (family, D) since every search on that grid scans the same list."""
-    if grid_denominator < 1:
-        raise PreconditionUnmetError("grid denominator must be at least 1")
+    _require_grid(grid_denominator)
     if family == "prefix":
         if grid_denominator > PREFIX_GRID_CAP:
             raise SearchSpaceTooLargeError(

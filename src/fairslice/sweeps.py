@@ -8,20 +8,23 @@ byte-identical for any worker count.
 
 Every prefix misreport of a grid profile is itself a grid profile: agent i
 reporting [0, k/D] in place of [0, x_i] gives the profile with i's grid
-index replaced by k. One sweep therefore needs only (D+1)^n distinct
-mechanism runs, and a sweep-scoped outcome table keyed by grid indices
-makes each of them once, on first use; every record reads its own
-allocation and each agent's D+1 deviation outcomes from it. The table
-lives exactly as long as one sweep_prefix_grid call, so nothing carries
-over from one sweep to the next. With several workers each chunk of
-profiles starts from an empty copy, which repeats some runs but not the
-output. Sweeps are capped at SWEEP_PROFILE_CAP profiles, which bounds the
-table's memory.
+index replaced by k. So a sweep runs in two phases. Phase 1 runs each of
+the (D+1)^n profiles once, in any process, and keeps its allocation
+checks and one prefix-measure row per agent, M[i][j] = |piece_i ∩ [0, j/D]|.
+Every value a record needs is an entry of these rows: agent i of a profile
+with true index k_i values agent j's piece at M[j][k_i], and values what it
+would get by reporting [0, k/D] at the k_i entry of row i in the profile
+with its index replaced by k. Phase 2 reads them in instance order and
+reduces each agent's D+1 deviation values to its truthfulness report. The
+rows live exactly as long as one sweep_prefix_grid call, so nothing carries
+over from one sweep to the next. Sweeps are capped at SWEEP_PROFILE_CAP
+profiles, which bounds the rows' memory.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 from functools import partial
 from random import Random
@@ -30,7 +33,7 @@ from typing import Iterator, Sequence
 from .errors import SearchSpaceTooLargeError
 from .intervals import IntervalSet
 from .mechanisms import MechanismInfo, get_mechanism
-from .model import Allocation, Instance, Resource, Valuation
+from .model import Instance, Resource, Valuation
 from .properties import (
     PropertyReport,
     allocation_reports,
@@ -39,18 +42,13 @@ from .properties import (
     ordered_map,
     summarize_deviation_search,
 )
-from .serialize import report_document, to_jsonable
+from .serialize import dumps, report_document, to_jsonable
 
-# The outcome table holds one allocation per profile, 1 to 3 KiB growing
-# with n. The largest table this cap allows (prefix-cake, n=9, D=2) holds
-# about 50 MiB.
+# Phase 1 keeps n prefix-measure rows and one shared check text per
+# profile. Measured with tracemalloc, the largest sweeps this cap allows
+# peak at 23.4 MiB (prefix-cake, n=9, D=2), 23.0 MiB (n=14, D=1) and
+# 19.3 MiB (n=5, D=6), 1.2 to 1.4 KiB per profile.
 SWEEP_PROFILE_CAP = 20_000
-
-
-def instance_from_prefixes(kind: Resource, xs: Sequence[Fraction]) -> Instance:
-    return Instance(
-        kind, tuple(Valuation(IntervalSet.prefix(x)) for x in xs)
-    )
 
 
 def guarantee_violations(
@@ -80,60 +78,28 @@ def guarantee_violations(
     return broken
 
 
-class _OutcomeTable:
-    """The allocation of each grid profile, keyed by its grid indices
-    (k_1, ..., k_n) and run on first use."""
+def _profile_payload(
+    mechanism: MechanismInfo,
+    valuations: Sequence[Valuation],
+    grid_denominator: int,
+    ks: tuple[int, ...],
+) -> tuple[tuple[str, tuple[str, ...]], tuple[tuple[Fraction, ...], ...]]:
+    """Phase 1: run one profile and keep only what its records need.
 
-    def __init__(self, mechanism: MechanismInfo, grid_denominator: int) -> None:
-        self.mechanism = mechanism
-        self.grid_denominator = grid_denominator
-        self.points = grid_points(grid_denominator)
-        self.allocations: dict[tuple[int, ...], Allocation] = {}
-
-    def instance(self, ks: tuple[int, ...]) -> Instance:
-        return instance_from_prefixes(
-            self.mechanism.kind, [self.points[k] for k in ks]
-        )
-
-    def allocation(self, ks: tuple[int, ...]) -> Allocation:
-        allocation = self.allocations.get(ks)
-        if allocation is None:
-            allocation = self.mechanism.run(self.instance(ks))
-            self.allocations[ks] = allocation
-        return allocation
-
-
-def _sweep_record(
-    table: _OutcomeTable, item: tuple[int, tuple[int, ...]]
-) -> tuple[dict, list[str]]:
-    """Every checker and each agent's prefix misreport search on one
-    indexed profile, with every outcome read from the table."""
-    index, ks = item
-    mechanism, grid = table.mechanism, table.grid_denominator
-    instance = table.instance(ks)
-    allocation = table.allocation(ks)
-    reports = allocation_reports(instance, allocation)
-    candidates = candidate_reports("prefix", grid)
-    for agent, valuation in enumerate(instance.valuations):
-        # the outcome of reporting [0, k/D]: agent's index replaced by k
-        values = [
-            valuation.value(
-                table.allocation(ks[:agent] + (k,) + ks[agent + 1 :]).pieces[agent]
-            )
-            for k in range(grid + 1)
-        ]
-        reports.append(
-            summarize_deviation_search(
-                mechanism, instance, agent, grid, "prefix", candidates, values
-            )
-        )
-    record = {
-        "instance": index,
-        "xs": to_jsonable([table.points[k] for k in ks]),
-        "values": to_jsonable(list(allocation.values(instance))),
-        "reports": [report_document(r) for r in reports],
-    }
-    return record, guarantee_violations(mechanism, reports)
+    Returns the allocation checks, as one JSON text plus the guarantees
+    they break, and the prefix-measure rows M[i][j] = |piece_i ∩ [0, j/D]|,
+    which give every value any grid valuation puts on any piece.
+    """
+    instance = Instance(mechanism.kind, tuple(valuations[k] for k in ks))
+    allocation = mechanism.run(instance)
+    rows = tuple(
+        piece.prefix_measures(grid_denominator) for piece in allocation.pieces
+    )
+    reports = allocation_reports(
+        instance, allocation, lambda i, j: rows[j][ks[i]]
+    )
+    checks = dumps([report_document(r) for r in reports])
+    return (checks, tuple(guarantee_violations(mechanism, reports))), rows
 
 
 def sweep_prefix_grid(
@@ -142,22 +108,60 @@ def sweep_prefix_grid(
     grid_denominator: int,
     workers: int = 1,
 ) -> Iterator[tuple[dict, list[str]]]:
-    """Yield (record, broken-guarantees) per instance, in instance order."""
-    profiles = 1
+    """Yield (record, broken-guarantees) per instance, in instance order.
+
+    The first record comes once every profile has run.
+    """
+    count = 1
     for _ in range(n):
-        profiles *= grid_denominator + 1
-        if profiles > SWEEP_PROFILE_CAP:
+        count *= grid_denominator + 1
+        if count > SWEEP_PROFILE_CAP:
             raise SearchSpaceTooLargeError(
                 f"prefix sweep at n={n}, D={grid_denominator} has "
                 f"{grid_denominator + 1}^{n} profiles; cap is {SWEEP_PROFILE_CAP}"
             )
-    candidate_reports("prefix", grid_denominator)  # rejects D < 1
-    table = _OutcomeTable(get_mechanism(mechanism_name), grid_denominator)
-    yield from ordered_map(
-        partial(_sweep_record, table),
-        enumerate(itertools.product(range(grid_denominator + 1), repeat=n)),
+    mechanism = get_mechanism(mechanism_name)
+    candidates = candidate_reports("prefix", grid_denominator)  # rejects D < 1
+    valuations = tuple(Valuation(report) for report in candidates)
+    profiles = list(itertools.product(range(grid_denominator + 1), repeat=n))
+    # phase 1; most profiles pass every check with the same text, kept once
+    shared: dict = {}
+    checks, rows = [], []
+    for head, profile_rows in ordered_map(
+        partial(_profile_payload, mechanism, valuations, grid_denominator),
+        profiles,
         workers,
-    )
+    ):
+        checks.append(shared.setdefault(head, head))
+        rows.append(profile_rows)
+    # phase 2; the profile with agent i's index replaced by k sits at
+    # index + (k - k_i) * stride_i
+    span = grid_denominator + 1
+    strides = [span ** (n - 1 - i) for i in range(n)]
+    point_texts = to_jsonable(grid_points(grid_denominator))
+    for index, ks in enumerate(profiles):
+        instance = Instance(mechanism.kind, tuple(valuations[k] for k in ks))
+        truthful = []
+        for agent, (k, stride) in enumerate(zip(ks, strides)):
+            first = index - k * stride
+            values = [
+                deviated[agent][k]
+                for deviated in rows[first : first + span * stride : stride]
+            ]
+            truthful.append(
+                summarize_deviation_search(
+                    mechanism, instance, agent, grid_denominator, "prefix",
+                    candidates, values,
+                )
+            )
+        text, broken = checks[index]
+        record = {
+            "instance": index,
+            "xs": [point_texts[k] for k in ks],
+            "values": to_jsonable([rows[index][i][k] for i, k in enumerate(ks)]),
+            "reports": json.loads(text) + [report_document(r) for r in truthful],
+        }
+        yield record, list(broken) + guarantee_violations(mechanism, truthful)
 
 
 # -- randomized instances -----------------------------------------------

@@ -520,6 +520,15 @@ class TestUsageErrors:
         assert code == 2
         assert "--n must be at least 1" in capsys.readouterr().err
 
+    def test_enumerate_has_no_family_option(self, capsys):
+        code = main(
+            ["enumerate", "--mechanism", "prefix-cake", "--family", "prefix"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --family prefix" in captured.err
+
     def test_no_command(self, capsys):
         assert main([]) == 2
         assert "required: command" in capsys.readouterr().err

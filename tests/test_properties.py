@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from fairslice import (
 from fairslice.errors import NotPrefixFormError
 from fairslice import properties
 from fairslice.properties import allocation_reports, deviation_value, ordered_map
+from fairslice.sweeps import random_grid_subset
 from helpers import (
     F,
     cake,
@@ -80,6 +82,39 @@ class TestEnvyFree:
         inst = cake(iset((0, 1)), iset((0, 1)))
         with pytest.raises(ShapeMismatchError):
             check_envy_free(inst, Allocation((iset((0, 1)),)))
+
+    @pytest.mark.parametrize("n", [2, 32])
+    def test_stops_at_first_envy(self, monkeypatch, n):
+        """a1 envies a2, so the verdict needs a1's own value and its value
+        of a2's piece and nothing else, however many agents there are."""
+        inst = cake(*[iset((0, 1))] * n)
+        cuts = [F(0), F(1, 4 * n)] + [F(k, n) for k in range(2, n + 1)]
+        alloc = Allocation(tuple(iset((a, b)) for a, b in zip(cuts, cuts[1:])))
+        measure = IntervalSet.measure_intersection
+        calls = []
+
+        def counting(self, other):
+            calls.append(other)
+            return measure(self, other)
+
+        monkeypatch.setattr(IntervalSet, "measure_intersection", counting)
+        report = check_envy_free(inst, alloc)
+        assert report.witness["agent"] == "a1"
+        assert report.witness["other"] == "a2"
+        assert calls == [alloc.pieces[0], alloc.pieces[1]]
+
+    def test_reads_values_through_accessor(self):
+        """The sweep's row lookup and the measured default agree."""
+        inst = prefix_instance(Resource.CHORE, [F(3, 5), F(3, 10), F(9, 10)])
+        alloc = MECH_PREFIX_CHORE.run(inst)
+        read = []
+
+        def value(i, j):
+            read.append((i, j))
+            return inst.valuations[i].value(alloc.pieces[j])
+
+        assert check_envy_free(inst, alloc, value) == check_envy_free(inst, alloc)
+        assert read == [(0, 0), (0, 1), (0, 2)]
 
 
 class TestProportional:
@@ -430,6 +465,22 @@ class TestSearchDeviations:
             MECH_CUT_CHOOSE, self.CUT_INSTANCE, 0, 8, "subsets", workers=3
         )
         assert serial == again == fanned
+
+
+class TestGrid:
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_grid_points_need_a_cell(self, d):
+        with pytest.raises(PreconditionUnmetError, match="grid denominator must be at least 1"):
+            properties.grid_points(d)
+
+    def test_random_grid_subset_needs_a_cell(self):
+        with pytest.raises(PreconditionUnmetError, match="grid denominator must be at least 1"):
+            random_grid_subset(Random(0), 0)
+
+    @pytest.mark.parametrize("family", ["prefix", "subsets", "wedges"])
+    def test_candidates_check_the_grid_before_the_family(self, family):
+        with pytest.raises(PreconditionUnmetError, match="grid denominator must be at least 1"):
+            properties.candidate_reports(family, 0)
 
 
 class _RecordingPool:

@@ -1,38 +1,106 @@
-"""Prefix-grid sweeps: the outcome table against direct searches, the run
-count it buys, and the sweep-size cap."""
+"""Prefix-grid sweeps: the prefix-measure rows, records against direct
+searches, the run count, worker independence and the sweep-size cap."""
 
 import dataclasses
+import itertools
 import json
+from random import Random
+from typing import Callable
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from fairslice import SearchSpaceTooLargeError, get_mechanism, search_deviations
+from fairslice import (
+    IntervalSet,
+    SearchSpaceTooLargeError,
+    get_mechanism,
+    search_deviations,
+)
 from fairslice import mechanisms
 from fairslice.cli import main
-from fairslice.properties import allocation_reports
+from fairslice.properties import allocation_reports, grid_points
 from fairslice.rationals import parse_rational
 from fairslice.serialize import report_document, to_jsonable
 from fairslice.sweeps import (
     SWEEP_PROFILE_CAP,
-    instance_from_prefixes,
+    random_grid_subset,
+    random_interval_set,
     sweep_prefix_grid,
 )
+from helpers import interval_sets, prefix_instance
 
 
-def _counting(monkeypatch, name):
-    """Register a copy of the named mechanism whose run records each
-    instance it is given."""
-    original = get_mechanism(name)
-    seen = []
-
-    def run(instance):
-        seen.append(instance)
-        return original.run(instance)
-
-    monkeypatch.setitem(
-        mechanisms.MECHANISMS, name, dataclasses.replace(original, run=run)
+def _assert_row_matches(piece, d):
+    expected = tuple(
+        piece.measure_intersection(IntervalSet.prefix(x)) for x in grid_points(d)
     )
-    return seen
+    assert piece.prefix_measures(d) == expected
+
+
+class TestPrefixMeasures:
+    """Each row entry equals the measure of the piece's overlap with the
+    prefix [0, j/D]."""
+
+    @given(interval_sets(), st.integers(1, 30))
+    def test_canonical_pieces(self, piece, d):
+        _assert_row_matches(piece, d)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_pieces(self, seed):
+        rng = Random(seed)
+        for _ in range(50):
+            _assert_row_matches(random_interval_set(rng), rng.randint(1, 24))
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_empty_piece(self, d):
+        assert IntervalSet().prefix_measures(d) == (0,) * (d + 1)
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_endpoints_on_grid_points(self, d):
+        rng = Random(d)
+        for _ in range(40):
+            # a union of grid cells, read on its own grid and on finer ones
+            piece = random_grid_subset(rng, d)
+            for multiple in (1, 2, 3):
+                _assert_row_matches(piece, d * multiple)
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 7])
+    def test_free_disposal_pieces(self, d):
+        mechanism = get_mechanism("connected-baseline")
+        for xs in itertools.product(grid_points(d), repeat=2):
+            allocation = mechanism.run(prefix_instance(mechanism.kind, xs))
+            assert allocation.free_disposal
+            for piece in allocation.pieces:
+                _assert_row_matches(piece, d)
+
+
+@dataclasses.dataclass(frozen=True)
+class _LoggedRun:
+    """A mechanism run that appends the reported prefix endpoints to a
+    file, so that runs in worker processes are counted too."""
+
+    path: str
+    run: Callable
+
+    def __call__(self, instance):
+        with open(self.path, "a") as log:
+            log.write(f"{mechanisms.prefix_endpoints(instance)}\n")
+        return self.run(instance)
+
+
+def _log_runs(monkeypatch, tmp_path, name):
+    """Register a copy of the named mechanism that logs each run; return
+    a function reading the logged runs."""
+    original = get_mechanism(name)
+    log = tmp_path / "runs.txt"
+    log.write_text("")
+    monkeypatch.setitem(
+        mechanisms.MECHANISMS,
+        name,
+        dataclasses.replace(original, run=_LoggedRun(str(log), original.run)),
+    )
+    return lambda: log.read_text().splitlines()
 
 
 @pytest.mark.parametrize("name", ["prefix-cake", "prefix-chore"])
@@ -45,7 +113,7 @@ def test_records_match_direct_searches(name, n):
     assert len(records) == 5**n
     for record in records:
         xs = [parse_rational(x) for x in record["xs"]]
-        instance = instance_from_prefixes(mechanism.kind, xs)
+        instance = prefix_instance(mechanism.kind, xs)
         allocation = mechanism.run(instance)
         expected = allocation_reports(instance, allocation) + [
             search_deviations(mechanism, instance, agent, 4, "prefix")
@@ -55,34 +123,44 @@ def test_records_match_direct_searches(name, n):
         assert record["reports"] == [report_document(r) for r in expected]
 
 
-def test_chore_machine_output_independent_of_workers(capsys):
-    """prefix-cake's counterpart is in test_cli's enumerate tests."""
-    args = ["enumerate", "--mechanism", "prefix-chore", "--n", "3", "--grid", "4",
+@pytest.mark.parametrize(
+    "name, n",
+    [("prefix-cake", 3), ("prefix-chore", 3), ("connected-baseline", 2)],
+)
+def test_machine_output_independent_of_workers(capsys, name, n):
+    args = ["enumerate", "--mechanism", name, "--n", str(n), "--grid", "4",
             "--format", "machine"]
-    main(args + ["--workers", "1"])
-    serial = capsys.readouterr().out
-    main(args + ["--workers", "2"])
-    assert capsys.readouterr().out == serial
-    assert json.loads(serial.split("\n")[-2])["summary"]["instances"] == 125
+    outputs = []
+    for workers in (1, 2, 3):
+        main(args + ["--workers", str(workers)])
+        outputs.append(capsys.readouterr())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    summary = json.loads(outputs[0].out.split("\n")[-2])["summary"]
+    assert summary["instances"] == 5**n
 
 
-def test_each_profile_runs_once_per_sweep(monkeypatch):
-    seen = _counting(monkeypatch, "prefix-cake")
+def test_each_profile_runs_once_per_sweep(monkeypatch, tmp_path):
+    runs = _log_runs(monkeypatch, tmp_path, "prefix-cake")
+    for workers in (1, 2):
+        before = len(runs())
+        list(sweep_prefix_grid("prefix-cake", 3, 4, workers))
+        sweep = runs()[before:]
+        assert len(sweep) == 125
+        assert len(set(sweep)) == 125
+    # a third sweep runs every profile again: nothing carries over
     list(sweep_prefix_grid("prefix-cake", 3, 4))
-    assert len(seen) == 125
-    assert len({mechanisms.prefix_endpoints(i) for i in seen}) == 125
-    # a second sweep starts from an empty table
-    list(sweep_prefix_grid("prefix-cake", 3, 4))
-    assert len(seen) == 250
+    assert len(runs()) == 375
 
 
-def test_oversized_sweep_refused_before_any_run(monkeypatch):
-    seen = _counting(monkeypatch, "prefix-cake")
+def test_oversized_sweep_refused_before_any_run(monkeypatch, tmp_path):
+    runs = _log_runs(monkeypatch, tmp_path, "prefix-cake")
     assert SWEEP_PROFILE_CAP >= 9**4
     with pytest.raises(SearchSpaceTooLargeError, match=r"9\^5 profiles"):
         next(sweep_prefix_grid("prefix-cake", 5, 8))
     with pytest.raises(SearchSpaceTooLargeError, match=r"2\^1000000 profiles"):
         next(sweep_prefix_grid("prefix-cake", 10**6, 1))
-    assert seen == []
+    assert runs() == []
+    # every profile runs before the first record
     next(sweep_prefix_grid("prefix-cake", 4, 8))
-    assert len(seen) == 1 + 4 * 8
+    assert len(runs()) == 9**4
+    assert len(set(runs())) == 9**4
