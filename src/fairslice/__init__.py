@@ -17,7 +17,7 @@ from .errors import (
     SearchSpaceTooLargeError,
     ShapeMismatchError,
 )
-from .intervals import EMPTY, FULL, IntervalSet
+from .intervals import EMPTY, FULL, IntervalSet, atoms
 from .model import Allocation, Instance, Resource, Valuation
 from .mechanisms import (
     MECHANISMS,
@@ -76,6 +76,7 @@ __all__ = [
     "allocate_cut_and_choose",
     "allocate_prefix_cake",
     "allocate_prefix_chore",
+    "atoms",
     "check_anonymity",
     "check_crossing_vs_eating",
     "check_envy_free",

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from .errors import MalformedIntervalError, OutOfRangeError
 
@@ -160,8 +161,33 @@ class IntervalSet:
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         return _combine(self, other, lambda p, q: p and not q)
 
-    def complement(self) -> "IntervalSet":
-        return FULL.difference(self)
+
+def atoms(
+    sets: Sequence[IntervalSet],
+) -> Iterator[tuple[Fraction, Fraction, tuple[bool, ...]]]:
+    """The atoms of [0, 1] cut at every endpoint of every set, in order.
+
+    Yields (left, right, inside) for each atom, where inside[k] says
+    whether sets[k] covers it. An endpoint flips membership in its set for
+    the atom to its right, so membership is constant on each atom.
+    """
+    # each set's endpoints form one ascending run, which the sort merges
+    events = sorted(
+        ((x, k) for k, s in enumerate(sets) for iv in s.intervals for x in iv),
+        key=itemgetter(0),
+    )
+    inside = [False] * len(sets)
+    left = ZERO
+    i = 0
+    while True:
+        while i < len(events) and events[i][0] == left:
+            inside[events[i][1]] = not inside[events[i][1]]
+            i += 1
+        if left == ONE:
+            return
+        right = events[i][0] if i < len(events) else ONE
+        yield left, right, tuple(inside)
+        left = right
 
 
 def _flat(s: IntervalSet) -> list[Fraction]:

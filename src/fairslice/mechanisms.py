@@ -18,7 +18,7 @@ from typing import Callable
 
 from .eating import allocate_cake2_eating
 from .errors import NotPrefixFormError, PreconditionUnmetError
-from .intervals import FULL, ONE, ZERO, IntervalSet
+from .intervals import FULL, ONE, ZERO, IntervalSet, atoms
 from .model import Allocation, Instance, Resource
 from .rationals import format_intervals
 
@@ -35,32 +35,15 @@ def crossing_point(w1: IntervalSet, w2: IntervalSet) -> Fraction:
     right end reaches zero.
     """
     g = -w2.total_length()
-    ends1 = [x for interval in w1.intervals for x in interval]
-    ends2 = [x for interval in w2.intervals for x in interval]
-    i = j = 0
-    in1 = in2 = False
-    left = ZERO
-    while True:
-        # an endpoint flips membership in its set for the atom to its right
-        while i < len(ends1) and ends1[i] == left:
-            in1 = not in1
-            i += 1
-        while j < len(ends2) and ends2[j] == left:
-            in2 = not in2
-            j += 1
-        if g == 0 or left == ONE:
+    for left, right, (in1, in2) in atoms((w1, w2)):
+        if g == 0:
             return left
-        right = ONE
-        if i < len(ends1) and ends1[i] < right:
-            right = ends1[i]
-        if j < len(ends2) and ends2[j] < right:
-            right = ends2[j]
         slope = in1 + in2
         g_right = g + slope * (right - left)
         if g_right >= 0:
             return left + (-g) / slope
         g = g_right
-        left = right
+    raise AssertionError("unreachable: g(1) = v1([0, 1]) >= 0")
 
 
 def _require(instance: Instance, kind: Resource, n: int | None) -> None:

@@ -27,7 +27,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .eating import simulate_eating
-from .intervals import FULL, ONE, ZERO, IntervalSet
+from .intervals import ZERO, IntervalSet, atoms
 from .mechanisms import MechanismInfo, allocate_cake2
 from .model import Allocation, Instance, Resource, Valuation
 
@@ -133,16 +133,6 @@ def check_proportional(
     return _holds("proportional")
 
 
-def _atoms(point_sources: Iterable[IntervalSet]) -> list[tuple[Fraction, Fraction]]:
-    points = {ZERO, ONE}
-    for s in point_sources:
-        for left, right in s.intervals:
-            points.add(left)
-            points.add(right)
-    events = sorted(points)
-    return list(zip(events, events[1:]))
-
-
 def check_pareto(instance: Instance, allocation: Allocation) -> PropertyReport:
     """Pareto optimality via the atom criterion.
 
@@ -160,28 +150,25 @@ def check_pareto(instance: Instance, allocation: Allocation) -> PropertyReport:
             "Pareto check is defined for full allocations only"
         )
     chore = instance.kind is Resource.CHORE
+    n = instance.n
     desired = [v.desired for v in instance.valuations]
-    for left, right in _atoms(list(desired) + list(allocation.pieces)):
-        mid = (left + right) / 2
-        owner = next(
-            i for i, piece in enumerate(allocation.pieces) if piece.contains(mid)
-        )
-        wanting = [i for i, w in enumerate(desired) if w.contains(mid)]
+    for left, right, inside in atoms(desired + list(allocation.pieces)):
+        # the pieces of a full allocation cover each atom exactly once
+        owner = inside.index(True, n) - n
+        wanting = [i for i in range(n) if inside[i]]
         if chore:
-            if len(wanting) < instance.n and owner in wanting:
+            if len(wanting) < n and inside[owner]:
                 return _violated(
                     "pareto",
                     {
                         "atom": (left, right),
                         "owner": instance.ids[owner],
                         "free_for": [
-                            instance.ids[i]
-                            for i in range(instance.n)
-                            if i not in wanting
+                            instance.ids[i] for i in range(n) if not inside[i]
                         ],
                     },
                 )
-        elif wanting and owner not in wanting:
+        elif wanting and not inside[owner]:
             return _violated(
                 "pareto",
                 {
@@ -198,10 +185,11 @@ def check_full_and_connected(allocation: Allocation) -> PropertyReport:
     # Allocation already proved that pieces without free disposal cover [0, 1]
     missing = IntervalSet()
     if allocation.free_disposal:
-        covered = IntervalSet()
-        for piece in allocation.pieces:
-            covered = covered.union(piece)
-        missing = FULL.difference(covered)
+        missing = IntervalSet.from_endpoints(
+            (left, right)
+            for left, right, inside in atoms(allocation.pieces)
+            if not any(inside)
+        )
     full_ok = missing.is_empty()
     scattered = [
         (i, piece)
@@ -257,9 +245,8 @@ def indicator_vector(instance: Instance) -> dict[frozenset[int], Fraction]:
         for size in range(instance.n + 1)
         for combo in combinations(range(instance.n), size)
     }
-    for left, right in _atoms(desired):
-        mid = (left + right) / 2
-        key = frozenset(i for i, w in enumerate(desired) if w.contains(mid))
+    for left, right, inside in atoms(desired):
+        key = frozenset(i for i in range(instance.n) if inside[i])
         entries[key] += right - left
     return entries
 

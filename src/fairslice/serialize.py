@@ -23,7 +23,9 @@ def parse_instance(document: bytes | str) -> Instance:
     """Read an instance from its JSON document form."""
     try:
         data = json.loads(document)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers bad UTF-8 and integer literals past
+        # CPython's digit limit; RecursionError covers too-deep nesting
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("instance document must be a JSON object")

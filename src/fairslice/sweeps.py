@@ -70,9 +70,6 @@ def guarantee_violations(
                 and witness.get("connected") == "violated"
             ):
                 broken.append("connected")
-        elif report.property == "truthful":
-            if not report.holds and "truthful" in mechanism.guarantees:
-                broken.append("truthful")
         elif not report.holds and report.property in mechanism.guarantees:
             broken.append(report.property)
     return broken

@@ -392,6 +392,25 @@ class TestUsageErrors:
         assert code == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000,
+            '{"resource": "cake", "agents": [{"id": "a1", "intervals": [['
+            + "7" * 5000
+            + ', 1]]}]}',
+        ],
+        ids=["deep-nesting", "5000-digit-integer"],
+    )
+    def test_json_beyond_decoder_limits(self, fx, capsys, text):
+        path = fx["dir"] / "hostile.json"
+        path.write_text(text)
+        code = main(["verify", "--mechanism", "cake2", "--instance", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("fairslice: error: not valid JSON")
+        assert "Traceback" not in err
+
     def test_float_endpoints_rejected(self, fx, capsys):
         path = fx["dir"] / "floaty.json"
         path.write_text(

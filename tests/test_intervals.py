@@ -3,10 +3,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
-from fairslice import EMPTY, FULL, IntervalSet, MalformedIntervalError, OutOfRangeError
+from fairslice import (
+    EMPTY,
+    FULL,
+    IntervalSet,
+    MalformedIntervalError,
+    OutOfRangeError,
+    atoms,
+)
 from helpers import F, iset, raw_interval_lists
 
 HALF = F(1, 2)
@@ -132,3 +140,21 @@ class TestConvenience:
     def test_is_empty_agrees_with_length(self, raw):
         s = IntervalSet.from_endpoints(raw)
         assert s.is_empty() == (s.total_length() == 0)
+
+
+class TestAtoms:
+    # eighths make shared endpoints, empty sets and sets touching 0 and 1
+    # common; the list itself may hold zero sets
+    @given(st.lists(raw_interval_lists(max_pairs=3, max_denominator=8), max_size=5))
+    @example([])
+    @example([[]])
+    @example([[(F(0), F(1))], [], [(F(0), HALF)], [(HALF, F(1))], [(F(1, 4), HALF)]])
+    def test_atoms_match_midpoint_oracle(self, raws):
+        sets = [IntervalSet.from_endpoints(raw) for raw in raws]
+        walked = list(atoms(sets))
+        assert [(left, right) for left, right, _ in walked] == oracles.atoms(
+            *(s.intervals for s in sets)
+        )
+        for left, right, inside in walked:
+            mid = (left + right) / 2
+            assert inside == tuple(oracles.contains(s.intervals, mid) for s in sets)

@@ -14,6 +14,7 @@ from fairslice import (
     Instance,
     IntervalSet,
     PreconditionUnmetError,
+    PropertyReport,
     Resource,
     SearchSpaceTooLargeError,
     ShapeMismatchError,
@@ -332,6 +333,80 @@ class TestIndicatorVector:
         inst = Instance(Resource.CAKE, tuple(Valuation(iset()) for _ in range(17)))
         with pytest.raises(SearchSpaceTooLargeError, match="2\\^16"):
             indicator_vector(inst)
+
+
+def _probe_pareto(instance, allocation):
+    """check_pareto restated with one midpoint probe per atom, on the
+    oracles' own atoms and membership test."""
+    n = instance.n
+    desired = [v.desired.intervals for v in instance.valuations]
+    pieces = [p.intervals for p in allocation.pieces]
+    for left, right in oracles.atoms(*desired, *pieces):
+        mid = (left + right) / 2
+        owner = next(j for j, p in enumerate(pieces) if oracles.contains(p, mid))
+        wanting = [i for i in range(n) if oracles.contains(desired[i], mid)]
+        if instance.kind is Resource.CHORE:
+            if len(wanting) < n and owner in wanting:
+                witness = {"atom": (left, right), "owner": instance.ids[owner]}
+                witness["free_for"] = [
+                    instance.ids[i] for i in range(n) if i not in wanting
+                ]
+                return PropertyReport("pareto", "violated", witness)
+        elif wanting and owner not in wanting:
+            witness = {"atom": (left, right), "owner": instance.ids[owner]}
+            witness["wanted_by"] = [instance.ids[i] for i in wanting]
+            return PropertyReport("pareto", "violated", witness)
+    return PropertyReport("pareto", "holds")
+
+
+class TestAtomWalk:
+    """Pareto and the indicator vector read membership from one atom walk."""
+
+    def test_no_membership_probes_at_many_agents(self, monkeypatch):
+        calls = []
+        probe = IntervalSet.contains
+        monkeypatch.setattr(
+            IntervalSet, "contains", lambda s, x: calls.append(x) or probe(s, x)
+        )
+        rng = Random(32)
+        for mech, kind in (
+            (MECH_PREFIX_CAKE, Resource.CAKE),
+            (MECH_PREFIX_CHORE, Resource.CHORE),
+        ):
+            inst = prefix_instance(kind, [F(rng.randint(0, 64), 64) for _ in range(32)])
+            # a holding verdict walks every atom
+            assert check_pareto(inst, mech.run(inst)).verdict == "holds"
+        # the indicator vector is capped at 16 agents
+        inst = Instance(
+            Resource.CAKE,
+            tuple(Valuation(random_grid_subset(rng, 12)) for _ in range(16)),
+        )
+        assert sum(indicator_vector(inst).values()) == 1
+        assert calls == []
+
+    def test_pareto_report_matches_midpoint_probe(self):
+        rng = Random(2013)
+        verdicts = []
+        for case in range(200):
+            kind = (Resource.CAKE, Resource.CHORE)[case % 2]
+            if case % 4 < 2:
+                mech = (MECH_CAKE2, MECH_CHORE2)[case % 2]
+                inst = Instance(
+                    kind, tuple(Valuation(random_grid_subset(rng, 8)) for _ in range(2))
+                )
+            else:
+                mech = (MECH_PREFIX_CAKE, MECH_PREFIX_CHORE)[case % 2]
+                xs = [F(rng.randint(0, 12), 12) for _ in range(rng.randint(3, 6))]
+                inst = prefix_instance(kind, xs)
+            # shuffled pieces break the mechanisms' Pareto guarantee
+            pieces = list(mech.run(inst).pieces)
+            rng.shuffle(pieces)
+            alloc = Allocation(tuple(pieces))
+            report = check_pareto(inst, alloc)
+            assert report == _probe_pareto(inst, alloc), (inst, alloc)
+            verdicts.append(report.verdict)
+        assert verdicts.count("violated") >= 40
+        assert verdicts.count("holds") >= 40
 
 
 class TestAnonymity:
