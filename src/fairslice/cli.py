@@ -29,6 +29,7 @@ from .properties import (
     check_crossing_vs_eating,
     check_position_oblivious,
     search_deviations,
+    value_matrix,
 )
 from .rationals import format_intervals, format_rational
 from .serialize import (
@@ -115,14 +116,19 @@ def _load_instance(path: str) -> Instance:
         return parse_instance(handle.read())
 
 
-def _emit_report(report, machine: bool, out) -> None:
-    if machine:
-        out.write(dumps(report_document(report)) + "\n")
-    else:
-        line = f"{report.property}: {report.verdict}"
-        if report.witness is not None and not report.holds:
-            line += f"  witness: {dumps(to_jsonable(report.witness))}"
-        out.write(line + "\n")
+def _emit_reports(reports, machine: bool, out) -> None:
+    """Write one line per report; all are formatted before any is written,
+    so a report that cannot be printed leaves stdout empty."""
+    lines = []
+    for report in reports:
+        if machine:
+            lines.append(dumps(report_document(report)))
+        else:
+            line = f"{report.property}: {report.verdict}"
+            if report.witness is not None and not report.holds:
+                line += f"  witness: {dumps(to_jsonable(report.witness))}"
+            lines.append(line)
+    out.write("".join(line + "\n" for line in lines))
 
 
 def _format_piece(piece) -> str:
@@ -145,10 +151,10 @@ def _cmd_allocate(config: argparse.Namespace, out) -> int:
     if machine:
         out.write(dumps(allocation_document(instance, allocation.pieces, values)) + "\n")
     else:
-        for agent_id, piece, value in zip(instance.ids, allocation.pieces, values):
-            out.write(
-                f"{agent_id}: {_format_piece(piece)}  value {format_rational(value)}\n"
-            )
+        out.write("".join(
+            f"{agent_id}: {_format_piece(piece)}  value {format_rational(value)}\n"
+            for agent_id, piece, value in zip(instance.ids, allocation.pieces, values)
+        ))
     if trace is not None:
         for event in trace.events:
             record = {
@@ -183,21 +189,24 @@ def _cmd_verify(config: argparse.Namespace, out) -> int:
     mechanism = get_mechanism(config.mechanism)
     instance = _load_instance(config.instance)
     machine = config.format == "machine"
-    reports = allocation_reports(instance, mechanism.run(instance))
+    # the one run of this instance; every check below reads its values
+    allocation = mechanism.run(instance)
+    matrix = value_matrix(instance, allocation)
+    values = tuple(matrix[i][i] for i in range(instance.n))
+    reports = allocation_reports(instance, allocation, lambda i, j: matrix[i][j])
     if instance.n <= _ANONYMITY_AGENT_CAP:
         for sigma in itertools.permutations(range(instance.n)):
             if sigma != tuple(range(instance.n)):
-                reports.append(check_anonymity(mechanism, instance, sigma))
+                reports.append(check_anonymity(mechanism, instance, sigma, values))
     if mechanism.name in ("cake2", "cake2-eating"):
         reports.extend(check_crossing_vs_eating(instance))
     if config.instance_b:
         reports.append(
             check_position_oblivious(
-                mechanism, instance, _load_instance(config.instance_b)
+                mechanism, instance, _load_instance(config.instance_b), values
             )
         )
-    for report in reports:
-        _emit_report(report, machine, out)
+    _emit_reports(reports, machine, out)
     return 0 if all(r.holds for r in reports) else 1
 
 
@@ -220,8 +229,7 @@ def _cmd_deviate(config: argparse.Namespace, out) -> int:
         )
         for agent in agents
     ]
-    for report in reports:
-        _emit_report(report, machine, out)
+    _emit_reports(reports, machine, out)
     return 0 if all(r.holds for r in reports) else 1
 
 

@@ -128,26 +128,22 @@ class IntervalSet:
                 j += 1
         return total
 
-    def prefix_measures(self, grid_denominator: int) -> tuple[Fraction, ...]:
-        """|self ∩ [0, j/D]| for j = 0..D, in one walk over the intervals.
-
-        Each endpoint is placed on the grid by integer floor and ceiling,
-        so the walk makes no rational comparisons.
-        """
-        d = grid_denominator
+    def prefix_measures(self, points: Iterable[Fraction]) -> tuple[Fraction, ...]:
+        """|self ∩ [0, p]| for each p of the ascending `points`, in one
+        walk over the points and the intervals together."""
         row: list[Fraction] = []
-        acc = ZERO
-        for left, right in self.intervals:
-            # grid points at or left of `left` see only earlier intervals
-            while len(row) <= left.numerator * d // left.denominator:
+        intervals = self.intervals
+        count = len(intervals)
+        k = 0
+        acc = ZERO  # measure of the intervals before the k-th
+        for p in points:
+            while k < count and intervals[k][1] <= p:
+                acc += intervals[k][1] - intervals[k][0]
+                k += 1
+            if k < count and intervals[k][0] < p:
+                row.append(acc + (p - intervals[k][0]))
+            else:
                 row.append(acc)
-            # grid points strictly inside the interval
-            base = acc - left
-            while len(row) < -(-right.numerator * d // right.denominator):
-                row.append(base + Fraction(len(row), d))
-            acc += right - left
-        while len(row) <= d:
-            row.append(acc)
         return tuple(row)
 
     # -- algebra -----------------------------------------------------------

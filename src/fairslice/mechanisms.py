@@ -162,32 +162,33 @@ def allocate_prefix_chore(instance: Instance) -> Allocation:
     xs = prefix_endpoints(instance)
     n = instance.n
     segments: list[list[tuple[Fraction, Fraction]]] = [[] for _ in xs]
-    remaining = FULL
+    # the remainder is always one interval [lo, hi], empty once lo == hi
+    lo, hi = ZERO, ONE
     for i in range(n - 1):
-        if remaining.is_empty():
+        if lo == hi:
             break
-        assert len(remaining.intervals) == 1, "remainder fragmented"
         x = xs[i]
-        reach = min(x, remaining.intervals[-1][1])
+        reach = min(x, hi)
         share = reach / n
-        burdensome = remaining.intersection(IntervalSet.prefix(x))
-        if burdensome.total_length() < share:
-            take = remaining
+        # she clears the free work right of x, plus the slice [lo, lo + share]
+        # of her burdensome work [lo, reach], or all of it if that is less
+        free_from = max(lo, x)
+        if free_from < hi:
+            segments[i].append((free_from, hi))
+        if reach - lo < share:
+            left, right = lo, reach
+            lo = hi
         else:
-            p = _min_prefix_point(remaining, share)
-            take = remaining.intersection(IntervalSet.prefix(p)).union(
-                remaining.intersection(IntervalSet.segment(x, ONE))
-            )
-        remaining = remaining.difference(take)
-        burdened = take.intersection(IntervalSet.prefix(x))
-        segments[i].extend(take.difference(burdened).intervals)
-        cuts = sorted({xs[j] for j in range(n) if j != i})
-        for left, right in burdened.intervals:
+            left, right = lo, lo + share
+            lo, hi = right, reach
+        if left < right:
+            cuts = sorted({xs[j] for j in range(n) if j != i})
             marks = [left] + [c for c in cuts if left < c < right] + [right]
             for a, b in zip(marks, marks[1:]):
-                receivers = [j for j in range(n) if j != i and xs[j] <= a]
-                segments[min(receivers) if receivers else i].append((a, b))
-    segments[n - 1].extend(remaining.intervals)
+                receiver = next((j for j in range(n) if j != i and xs[j] <= a), i)
+                segments[receiver].append((a, b))
+    if lo < hi:
+        segments[n - 1].append((lo, hi))
     return Allocation(
         tuple(IntervalSet.from_endpoints(segs) for segs in segments)
     )

@@ -76,6 +76,33 @@ def _piece_values(instance: Instance, allocation: Allocation) -> ValueOf:
     return lambda i, j: instance.valuations[i].value(allocation.pieces[j])
 
 
+def value_matrix(instance: Instance, allocation: Allocation) -> list[list[Fraction]]:
+    """V[i][j], agent i's value of piece j, from one walk per piece.
+
+    Each walk reads the piece's cumulative measure at every desired
+    endpoint, so agent i's value of it is the sum over i's desired
+    intervals [l, r] of cum(r) - cum(l).
+    """
+    _check_shapes(instance, allocation)
+    desires = [v.desired.intervals for v in instance.valuations]
+    points = sorted({x for intervals in desires for iv in intervals for x in iv})
+    index = {x: k for k, x in enumerate(points)}
+    spans = [[(index[l], index[r]) for l, r in intervals] for intervals in desires]
+    cums = [piece.prefix_measures(points) for piece in allocation.pieces]
+    matrix = []
+    for agent_spans in spans:
+        row = []
+        for cum in cums:
+            value = ZERO
+            for l, r in agent_spans:
+                # a Fraction sum or difference costs a gcd; skip those with 0
+                term = cum[r] - cum[l] if cum[l] else cum[r]
+                value = value + term if value else term
+            row.append(value)
+        matrix.append(row)
+    return matrix
+
+
 def check_envy_free(
     instance: Instance, allocation: Allocation, value: ValueOf | None = None
 ) -> PropertyReport:
@@ -252,14 +279,20 @@ def indicator_vector(instance: Instance) -> dict[frozenset[int], Fraction]:
 
 
 def check_anonymity(
-    mechanism: MechanismInfo, instance: Instance, sigma: Sequence[int]
+    mechanism: MechanismInfo,
+    instance: Instance,
+    sigma: Sequence[int],
+    original_values: tuple[Fraction, ...] | None = None,
 ) -> PropertyReport:
     """Run the mechanism with agents reordered by sigma and compare what
     each agent ends up with: under anonymity, renaming may only relabel
-    pieces, never change anyone's own value."""
-    original = mechanism.run(instance)
+    pieces, never change anyone's own value.
+
+    `original_values`, each agent's value of the unpermuted outcome, spare
+    a caller checking many sigmas from running the original each time.
+    """
+    before = original_values or mechanism.run(instance).values(instance)
     permuted = mechanism.run(instance.permuted(sigma))
-    before = original.values(instance)
     after = tuple(
         instance.valuations[i].value(permuted.pieces[list(sigma).index(i)])
         for i in range(instance.n)
@@ -279,10 +312,17 @@ def check_anonymity(
 
 
 def check_position_oblivious(
-    mechanism: MechanismInfo, instance_a: Instance, instance_b: Instance
+    mechanism: MechanismInfo,
+    instance_a: Instance,
+    instance_b: Instance,
+    values_a: tuple[Fraction, ...] | None = None,
 ) -> PropertyReport:
     """Two instances wanting equal amounts per agent-subset (only the
-    positions differ) should hand every agent equal value."""
+    positions differ) should hand every agent equal value.
+
+    `values_a`, each agent's value of instance_a's outcome, spare a caller
+    that already ran instance_a from running it again.
+    """
     if instance_a.n != instance_b.n or instance_a.kind is not instance_b.kind:
         raise PreconditionUnmetError(
             "paired instances must share agent count and resource kind"
@@ -291,7 +331,7 @@ def check_position_oblivious(
         raise PreconditionUnmetError(
             "paired instances must desire equal lengths per agent subset"
         )
-    values_a = mechanism.run(instance_a).values(instance_a)
+    values_a = values_a or mechanism.run(instance_a).values(instance_a)
     values_b = mechanism.run(instance_b).values(instance_b)
     witness = {"values_a": values_a, "values_b": values_b}
     for i in range(instance_a.n):

@@ -9,10 +9,11 @@ comparison downstream.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ParseError
+from .errors import FairsliceError, ParseError
 
 # "p/q", an optionally-signed integer, or a plain decimal. Nothing else:
 # Fraction() itself also takes scientific notation, which is not part of
@@ -20,6 +21,16 @@ from .errors import ParseError
 _RATIONAL_TEXT = re.compile(
     r"[+-]?\d+\s*/\s*\d+$|[+-]?\d+$|[+-]?\d*\.\d+$|[+-]?\d+\.\d*$"
 )
+# an error message quotes at most this many characters of the bad text
+_ECHO_LIMIT = 40
+
+
+def _echo(text: str) -> str:
+    """The text's repr, cut to its first _ECHO_LIMIT characters plus its
+    length when longer, so an error stays one short line."""
+    if len(text) <= _ECHO_LIMIT:
+        return repr(text)
+    return f"{text[:_ECHO_LIMIT]!r}... ({len(text)} characters)"
 
 
 def parse_rational(value: object) -> Fraction:
@@ -43,13 +54,15 @@ def parse_rational(value: object) -> Fraction:
         text = value.strip()
         if not _RATIONAL_TEXT.match(text):
             raise ParseError(
-                f"cannot parse {value!r} as a rational: expected \"p/q\" or a "
+                f"cannot parse {_echo(value)} as a rational: expected \"p/q\" or a "
                 f"decimal string"
             )
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"cannot parse {value!r} as a rational: {exc}") from exc
+            raise ParseError(
+                f"cannot parse {_echo(value)} as a rational: {exc}"
+            ) from exc
     raise ParseError(f"cannot parse {type(value).__name__} as a rational")
 
 
@@ -57,9 +70,16 @@ def format_rational(value: Fraction) -> str:
     """Serialize a Fraction as "p/q", always with an explicit denominator.
 
     Integers come out as "2/1" and zero as "0/1" so that every emitted
-    rational has one canonical shape.
+    rational has one canonical shape. An integer past CPython's limit on
+    int-to-str digits is a FairsliceError, not a crash.
     """
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise FairsliceError(
+            "an exact result has an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits, too long to print"
+        ) from None
 
 
 def format_intervals(intervals: Sequence[tuple[Fraction, Fraction]]) -> str:

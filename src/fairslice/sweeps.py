@@ -78,7 +78,7 @@ def guarantee_violations(
 def _profile_payload(
     mechanism: MechanismInfo,
     valuations: Sequence[Valuation],
-    grid_denominator: int,
+    points: Sequence[Fraction],
     ks: tuple[int, ...],
 ) -> tuple[tuple[str, tuple[str, ...]], tuple[tuple[Fraction, ...], ...]]:
     """Phase 1: run one profile and keep only what its records need.
@@ -89,9 +89,7 @@ def _profile_payload(
     """
     instance = Instance(mechanism.kind, tuple(valuations[k] for k in ks))
     allocation = mechanism.run(instance)
-    rows = tuple(
-        piece.prefix_measures(grid_denominator) for piece in allocation.pieces
-    )
+    rows = tuple(piece.prefix_measures(points) for piece in allocation.pieces)
     reports = allocation_reports(
         instance, allocation, lambda i, j: rows[j][ks[i]]
     )
@@ -120,12 +118,13 @@ def sweep_prefix_grid(
     mechanism = get_mechanism(mechanism_name)
     candidates = candidate_reports("prefix", grid_denominator)  # rejects D < 1
     valuations = tuple(Valuation(report) for report in candidates)
+    points = grid_points(grid_denominator)
     profiles = list(itertools.product(range(grid_denominator + 1), repeat=n))
     # phase 1; most profiles pass every check with the same text, kept once
     shared: dict = {}
     checks, rows = [], []
     for head, profile_rows in ordered_map(
-        partial(_profile_payload, mechanism, valuations, grid_denominator),
+        partial(_profile_payload, mechanism, valuations, points),
         profiles,
         workers,
     ):
@@ -135,7 +134,7 @@ def sweep_prefix_grid(
     # index + (k - k_i) * stride_i
     span = grid_denominator + 1
     strides = [span ** (n - 1 - i) for i in range(n)]
-    point_texts = to_jsonable(grid_points(grid_denominator))
+    point_texts = to_jsonable(points)
     for index, ks in enumerate(profiles):
         instance = Instance(mechanism.kind, tuple(valuations[k] for k in ks))
         truthful = []

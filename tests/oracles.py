@@ -159,3 +159,58 @@ def mask_pareto_rule(kind, desired, owned, n_cells):
             if any(not d & bit for d in desired) and desired[owner] & bit:
                 return "violated"
     return "holds"
+
+
+# --- prefix chore by set algebra -------------------------------------------
+
+def naive_min_prefix_point(raw, target):
+    """Least p with |raw ∩ [0, p]| == target, for a canonical list."""
+    if target == 0:
+        return ZERO
+    acc = ZERO
+    for lo, hi in raw:
+        if acc + (hi - lo) >= target:
+            return lo + (target - acc)
+        acc += hi - lo
+    raise AssertionError("target exceeds the set's length")
+
+
+def naive_prefix_chore(xs):
+    """The n-agent prefix chore divider written as set algebra on the
+    remainder, one round per agent but the last: a slice of reach/n from
+    the left of her burdensome work (or all of it if that is less) plus
+    the free work right of x_i, with each burdened part handed to the
+    lowest-indexed other agent whose x_j lies at or left of it.
+
+    Returns each agent's piece as a canonical interval list.
+    """
+    n = len(xs)
+    segments = [[] for _ in xs]
+    remaining = [(ZERO, ONE)]
+    for i in range(n - 1):
+        if not remaining:
+            break
+        x = xs[i]
+        reach = min(x, remaining[-1][1])
+        share = reach / n
+        burdensome = naive_combine(remaining, [(ZERO, x)], "intersection")
+        if naive_measure(burdensome) < share:
+            take = remaining
+        else:
+            p = naive_min_prefix_point(remaining, share)
+            take = naive_combine(
+                naive_combine(remaining, [(ZERO, p)], "intersection"),
+                naive_combine(remaining, [(x, ONE)], "intersection"),
+                "union",
+            )
+        remaining = naive_combine(remaining, take, "difference")
+        burdened = naive_combine(take, [(ZERO, x)], "intersection")
+        segments[i] += naive_combine(take, burdened, "difference")
+        cuts = sorted({xs[j] for j in range(n) if j != i})
+        for left, right in burdened:
+            marks = [left] + [c for c in cuts if left < c < right] + [right]
+            for a, b in zip(marks, marks[1:]):
+                receivers = [j for j in range(n) if j != i and xs[j] <= a]
+                segments[min(receivers) if receivers else i].append((a, b))
+    segments[n - 1] += remaining
+    return [naive_canonical(segment) for segment in segments]

@@ -1,10 +1,13 @@
 """End-to-end command line behavior through ``main``."""
 
+import dataclasses
 import json
+import sys
 import time
 
 import pytest
 
+from fairslice import get_mechanism, mechanisms
 from fairslice.cli import main
 
 UNEVEN = {
@@ -191,6 +194,48 @@ class TestVerify:
         )
         assert code == 2
         assert "equal lengths" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, agents, instance_b, runs",
+        [
+            # the instance once, then each of the 23 other orders once
+            ("prefix-cake", 4, False, 24),
+            ("prefix-chore", 4, False, 24),
+            ("prefix-cake", 3, False, 6),
+            # the instance, its one swap, and the paired instance
+            ("cake2", 2, True, 3),
+            # no anonymity check past four agents
+            ("prefix-chore", 5, False, 1),
+        ],
+    )
+    def test_each_profile_runs_once(
+        self, fx, capsys, monkeypatch, name, agents, instance_b, runs
+    ):
+        original = get_mechanism(name)
+        seen = []
+
+        def counting(instance):
+            seen.append(instance)
+            return original.run(instance)
+
+        monkeypatch.setitem(
+            mechanisms.MECHANISMS, name, dataclasses.replace(original, run=counting)
+        )
+        if agents == 2:
+            args = ["--instance", fx["uneven"], "--instance-b", fx["shifted"]]
+        else:
+            path = fx["dir"] / "prefixes.json"
+            path.write_text(json.dumps({
+                "resource": original.kind.value,
+                "agents": [
+                    {"id": f"a{i + 1}", "intervals": [["0", f"{i + 1}/{agents + 1}"]]}
+                    for i in range(agents)
+                ],
+            }))
+            args = ["--instance", str(path)]
+        main(["verify", "--mechanism", name, *args])
+        assert len(seen) == runs
+        assert len(set(seen)) == runs
 
     def test_wrong_agent_count(self, fx, capsys):
         code = main(["verify", "--mechanism", "cake2", "--instance", fx["three"]])
@@ -533,6 +578,45 @@ class TestUsageErrors:
             "report must be a prefix [0, x], got [1/2, 1/1]\n"
             in capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize("command", ["allocate", "verify"])
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_result_past_digit_limit(self, fx, capsys, command, fmt):
+        """Every endpoint parses, but the cake2 split multiplies the
+        3,000-digit denominators past CPython's int-to-str limit."""
+        path = fx["dir"] / "huge.json"
+        path.write_text(json.dumps({
+            "resource": "cake",
+            "agents": [
+                {"id": "a1", "intervals": [["1/" + "7" * 3000, "1/" + "3" * 3000]]},
+                {"id": "a2", "intervals": [["1/" + "9" * 2999 + "1", "1"]]},
+            ],
+        }))
+        code = main([command, "--mechanism", "cake2", "--instance", str(path),
+                     "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "fairslice: error: an exact result has an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits, too long to print\n"
+        )
+
+    def test_long_unparsable_rational_echoed_in_part(self, fx, capsys):
+        path = fx["dir"] / "long.json"
+        endpoint = "1/" + "1" * 5000
+        path.write_text(json.dumps({
+            "resource": "cake",
+            "agents": [{"id": "a1", "intervals": [["0", endpoint]]}],
+        }))
+        code = main(["verify", "--mechanism", "prefix-cake", "--instance", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(
+            "fairslice: error: cannot parse '1/111111111111111111111111111111111111"
+            "11'... (5002 characters) as a rational: "
+        )
+        assert err.count("\n") == 1 and len(err) < 300
 
     def test_enumerate_needs_agents(self, capsys):
         code = main(["enumerate", "--mechanism", "prefix-cake", "--n", "0"])

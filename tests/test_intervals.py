@@ -15,7 +15,7 @@ from fairslice import (
     OutOfRangeError,
     atoms,
 )
-from helpers import F, iset, raw_interval_lists
+from helpers import F, iset, rationals, raw_interval_lists
 
 HALF = F(1, 2)
 
@@ -121,6 +121,20 @@ class TestMeasure:
             raw_a, raw_b
         )
         assert a.measure_intersection(b) == a.intersection(b).total_length()
+
+    # eighths put many points on the set's own endpoints, 0 and 1
+    @given(
+        raw_interval_lists(max_denominator=8),
+        st.lists(rationals(max_denominator=8), max_size=8),
+    )
+    @example([], [F(0), F(1)])
+    @example([(F(0), F(1))], [F(0), HALF, HALF, F(1)])
+    def test_prefix_measures_match_oracle(self, raw, points):
+        s = IntervalSet.from_endpoints(raw)
+        points = sorted(points)
+        assert s.prefix_measures(points) == tuple(
+            oracles.naive_measure_intersection(raw, [(F(0), p)]) for p in points
+        )
 
 
 class TestConvenience:

@@ -1,6 +1,8 @@
 """Mechanism outputs: frozen worked examples plus structural invariants."""
 
+import itertools
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -301,6 +303,27 @@ class TestPrefixChore:
         inst = chore(iset((F(1, 4), HALF)), iset((0, 1)))
         with pytest.raises(NotPrefixFormError):
             allocate_prefix_chore(inst)
+
+    @staticmethod
+    def _assert_matches_set_algebra(xs):
+        inst = prefix_instance(Resource.CHORE, xs)
+        pieces = [list(piece.intervals) for piece in allocate_prefix_chore(inst).pieces]
+        assert pieces == oracles.naive_prefix_chore(xs)
+
+    @pytest.mark.parametrize("n, d", [(1, 6), (2, 6), (3, 6), (4, 4)])
+    def test_matches_set_algebra_on_every_grid_profile(self, n, d):
+        for ks in itertools.product(range(d + 1), repeat=n):
+            self._assert_matches_set_algebra([F(k, d) for k in ks])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_set_algebra_on_random_profiles(self, seed):
+        """3,000 profiles in all, n up to 8 on the 1/24 grid."""
+        rng = Random(seed)
+        for _ in range(500):
+            n = rng.randint(1, 8)
+            self._assert_matches_set_algebra(
+                [F(rng.randint(0, 24), 24) for _ in range(n)]
+            )
 
     @given(prefix_instances(Resource.CHORE))
     def test_proportional(self, inst):

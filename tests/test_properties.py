@@ -39,6 +39,8 @@ from helpers import (
     chore,
     iset,
     prefix_instance,
+    rationals,
+    raw_interval_lists,
     reverify,
     two_agent_instances,
 )
@@ -51,6 +53,83 @@ MECH_PREFIX_CAKE = get_mechanism("prefix-cake")
 MECH_PREFIX_CHORE = get_mechanism("prefix-chore")
 MECH_CUT_CHOOSE = get_mechanism("cut-and-choose")
 MECH_BASELINE = get_mechanism("connected-baseline")
+
+
+@st.composite
+def desires_and_allocations(draw):
+    """Up to four desires on the eighths grid (empty ones and ones touching
+    0 and 1 are common) and an allocation cut at their endpoints plus a few
+    points of its own; an atom given to no agent makes it free-disposal."""
+    raws = draw(
+        st.lists(raw_interval_lists(max_pairs=3, max_denominator=8),
+                 min_size=1, max_size=4)
+    )
+    desires = [IntervalSet.from_endpoints(raw) for raw in raws]
+    n = len(desires)
+    own = draw(st.lists(rationals(max_denominator=12), max_size=4))
+    cuts = sorted(
+        {F(0), F(1), *own, *(x for d in desires for iv in d.intervals for x in iv)}
+    )
+    atoms = list(zip(cuts, cuts[1:]))
+    free_disposal = draw(st.booleans())
+    owners = draw(
+        st.lists(st.integers(-1 if free_disposal else 0, n - 1),
+                 min_size=len(atoms), max_size=len(atoms))
+    )
+    pieces = tuple(
+        IntervalSet.from_endpoints(
+            [atom for atom, owner in zip(atoms, owners) if owner == j]
+        )
+        for j in range(n)
+    )
+    instance = Instance(Resource.CAKE, tuple(Valuation(d) for d in desires))
+    return instance, Allocation(pieces, free_disposal=free_disposal)
+
+
+class TestValueMatrix:
+    """The one-walk value matrix against the naive midpoint oracle."""
+
+    @staticmethod
+    def _assert_matches_oracle(instance, allocation):
+        matrix = properties.value_matrix(instance, allocation)
+        assert matrix == [
+            [
+                oracles.naive_measure_intersection(
+                    list(valuation.desired.intervals), list(piece.intervals)
+                )
+                for piece in allocation.pieces
+            ]
+            for valuation in instance.valuations
+        ]
+
+    @given(desires_and_allocations())
+    @settings(max_examples=300)
+    def test_matches_oracle(self, case):
+        self._assert_matches_oracle(*case)
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 7])
+    def test_free_disposal_baseline_pieces(self, d):
+        points = properties.grid_points(d)
+        for xs in itertools.product(points, repeat=2):
+            instance = prefix_instance(Resource.CAKE, xs)
+            allocation = MECH_BASELINE.run(instance)
+            assert allocation.free_disposal
+            self._assert_matches_oracle(instance, allocation)
+
+    def test_empty_desires(self):
+        instance = cake(iset(), iset((0, 1)), iset())
+        allocation = Allocation((iset((0, HALF)), iset(), iset((HALF, 1))))
+        assert properties.value_matrix(instance, allocation) == [
+            [0, 0, 0],
+            [HALF, 0, HALF],
+            [0, 0, 0],
+        ]
+
+    def test_piece_count_must_match(self):
+        with pytest.raises(ShapeMismatchError):
+            properties.value_matrix(
+                cake(iset((0, 1))), Allocation((iset((0, HALF)), iset((HALF, 1))))
+            )
 
 
 class TestEnvyFree:

@@ -32,15 +32,16 @@ from helpers import interval_sets, prefix_instance
 
 
 def _assert_row_matches(piece, d):
+    points = grid_points(d)
     expected = tuple(
-        piece.measure_intersection(IntervalSet.prefix(x)) for x in grid_points(d)
+        piece.measure_intersection(IntervalSet.prefix(x)) for x in points
     )
-    assert piece.prefix_measures(d) == expected
+    assert piece.prefix_measures(points) == expected
 
 
 class TestPrefixMeasures:
-    """Each row entry equals the measure of the piece's overlap with the
-    prefix [0, j/D]."""
+    """Each row entry the sweep reads equals the measure of the piece's
+    overlap with the prefix [0, j/D]."""
 
     @given(interval_sets(), st.integers(1, 30))
     def test_canonical_pieces(self, piece, d):
@@ -54,7 +55,7 @@ class TestPrefixMeasures:
 
     @pytest.mark.parametrize("d", range(1, 13))
     def test_empty_piece(self, d):
-        assert IntervalSet().prefix_measures(d) == (0,) * (d + 1)
+        assert IntervalSet().prefix_measures(grid_points(d)) == (0,) * (d + 1)
 
     @pytest.mark.parametrize("d", range(1, 11))
     def test_endpoints_on_grid_points(self, d):
