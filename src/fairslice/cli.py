@@ -31,7 +31,7 @@ from .properties import (
     search_deviations,
     value_matrix,
 )
-from .rationals import format_intervals, format_rational
+from .rationals import echo, format_intervals, format_rational
 from .serialize import (
     allocation_document,
     dumps,
@@ -221,7 +221,7 @@ def _cmd_deviate(config: argparse.Namespace, out) -> int:
         agents = [instance.ids.index(config.agent)]
     else:
         raise FairsliceError(
-            f"unknown agent {config.agent!r}; instance has {', '.join(instance.ids)}"
+            f"unknown agent {echo(config.agent)}; the instance has {instance.n} agents"
         )
     reports = [
         search_deviations(

@@ -23,6 +23,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .intervals import ONE, ZERO, IntervalSet
+from .rationals import echo
 
 
 class Resource(enum.Enum):
@@ -43,7 +44,7 @@ class Valuation:
         return self.desired.total_length()
 
 
-def _default_ids(n: int) -> tuple[str, ...]:
+def default_ids(n: int) -> tuple[str, ...]:
     return tuple(f"a{i + 1}" for i in range(n))
 
 
@@ -64,13 +65,17 @@ class Instance:
         if not self.valuations:
             raise ShapeMismatchError("an instance needs at least one agent")
         if not self.ids:
-            object.__setattr__(self, "ids", _default_ids(len(self.valuations)))
+            object.__setattr__(self, "ids", default_ids(len(self.valuations)))
         if len(self.ids) != len(self.valuations):
             raise ShapeMismatchError(
                 f"{len(self.ids)} ids for {len(self.valuations)} valuations"
             )
         if len(set(self.ids)) != len(self.ids):
-            raise DuplicateAgentIdError(f"duplicate agent ids in {self.ids}")
+            last = {agent_id: k for k, agent_id in enumerate(self.ids)}
+            duplicate = next(x for k, x in enumerate(self.ids) if last[x] != k)
+            raise DuplicateAgentIdError(
+                f"duplicate agent id {echo(duplicate)} among {self.n} ids"
+            )
 
     @property
     def n(self) -> int:

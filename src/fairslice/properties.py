@@ -400,25 +400,6 @@ def grid_points(grid_denominator: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(k, grid_denominator) for k in range(grid_denominator + 1))
 
 
-def grid_subset_reports(grid_denominator: int) -> tuple[IntervalSet, ...]:
-    """All unions of the D grid cells, in mask order (2^D candidates)."""
-    if grid_denominator > SUBSET_GRID_CAP:
-        raise SearchSpaceTooLargeError(
-            f"subset family at D={grid_denominator} has 2^{grid_denominator} "
-            f"candidates; cap is D={SUBSET_GRID_CAP}"
-        )
-    points = grid_points(grid_denominator)
-    cells = list(zip(points, points[1:]))
-    reports = []
-    for mask in range(1 << grid_denominator):
-        reports.append(
-            IntervalSet.from_endpoints(
-                [cells[k] for k in range(grid_denominator) if mask >> k & 1]
-            )
-        )
-    return tuple(reports)
-
-
 @lru_cache(maxsize=8)
 def candidate_reports(family: str, grid_denominator: int) -> tuple[IntervalSet, ...]:
     """The report family's candidates in canonical order, built once per
@@ -432,7 +413,20 @@ def candidate_reports(family: str, grid_denominator: int) -> tuple[IntervalSet, 
             )
         return tuple(IntervalSet.prefix(x) for x in grid_points(grid_denominator))
     if family == "subsets":
-        return grid_subset_reports(grid_denominator)
+        if grid_denominator > SUBSET_GRID_CAP:
+            raise SearchSpaceTooLargeError(
+                f"subset family at D={grid_denominator} has 2^{grid_denominator} "
+                f"candidates; cap is D={SUBSET_GRID_CAP}"
+            )
+        points = grid_points(grid_denominator)
+        cells = list(zip(points, points[1:]))
+        # all unions of the D grid cells, in mask order
+        return tuple(
+            IntervalSet.from_endpoints(
+                [cells[k] for k in range(grid_denominator) if mask >> k & 1]
+            )
+            for mask in range(1 << grid_denominator)
+        )
     raise PreconditionUnmetError(
         f"unknown report family {family!r}; choose 'prefix' or 'subsets'"
     )
@@ -471,7 +465,8 @@ def search_deviations(
     candidate strictly beats truth-telling; the witness is the best
     deviation, ties broken toward the lexicographically smallest interval
     tuple among the equally good reports, so the result is deterministic
-    no matter how the evaluation is scheduled.
+    no matter how the evaluation is scheduled. The truthful value comes
+    from one more run, on the agent's own report.
     """
     if mechanism.prefix_only and family != "prefix":
         raise PreconditionUnmetError(
@@ -483,8 +478,10 @@ def search_deviations(
             partial(deviation_value, mechanism, instance, agent), reports, workers
         )
     )
+    truthful = deviation_value(mechanism, instance, agent, instance.desired(agent))
     return summarize_deviation_search(
-        mechanism, instance, agent, grid_denominator, family, reports, values
+        instance.kind, instance.ids[agent], grid_denominator, family,
+        reports, values, truthful,
     )
 
 
@@ -500,25 +497,17 @@ def deviation_value(
 
 
 def summarize_deviation_search(
-    mechanism: MechanismInfo,
-    instance: Instance,
-    agent: int,
+    kind: Resource,
+    agent_id: str,
     grid_denominator: int,
     family: str,
     reports: Sequence[IntervalSet],
     values: Sequence[Fraction],
+    truthful: Fraction,
 ) -> PropertyReport:
-    """Reduce per-candidate outcomes to a deterministic report."""
-    # a candidate equal to the true report already ran the truthful outcome
-    true_report = instance.desired(agent)
-    truthful = next(
-        (v for r, v in zip(reports, values) if r == true_report), None
-    )
-    if truthful is None:
-        truthful = instance.valuations[agent].value(
-            mechanism.run(instance).pieces[agent]
-        )
-    chore = instance.kind is Resource.CHORE
+    """Reduce the candidates' values and the truthful value to a
+    deterministic report."""
+    chore = kind is Resource.CHORE
     best_idx = 0
     for idx in range(1, len(values)):
         better = (
@@ -536,7 +525,7 @@ def summarize_deviation_search(
     best = values[best_idx]
     improves = best < truthful if chore else best > truthful
     witness = {
-        "agent": instance.ids[agent],
+        "agent": agent_id,
         "family": family,
         "grid": grid_denominator,
         "truthful_value": truthful,

@@ -25,11 +25,13 @@ _RATIONAL_TEXT = re.compile(
 _ECHO_LIMIT = 40
 
 
-def _echo(text: str) -> str:
-    """The text's repr, cut to its first _ECHO_LIMIT characters plus its
-    length when longer, so an error stays one short line."""
+def echo(value: object) -> str:
+    """repr(value) for an error about outside input: a string, or another
+    value's repr, longer than _ECHO_LIMIT characters shows only its first
+    _ECHO_LIMIT and its length, so the error stays one short line."""
+    text = value if isinstance(value, str) else repr(value)
     if len(text) <= _ECHO_LIMIT:
-        return repr(text)
+        return repr(value)
     return f"{text[:_ECHO_LIMIT]!r}... ({len(text)} characters)"
 
 
@@ -54,14 +56,14 @@ def parse_rational(value: object) -> Fraction:
         text = value.strip()
         if not _RATIONAL_TEXT.match(text):
             raise ParseError(
-                f"cannot parse {_echo(value)} as a rational: expected \"p/q\" or a "
+                f"cannot parse {echo(value)} as a rational: expected \"p/q\" or a "
                 f"decimal string"
             )
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(
-                f"cannot parse {_echo(value)} as a rational: {exc}"
+                f"cannot parse {echo(value)} as a rational: {exc}"
             ) from exc
     raise ParseError(f"cannot parse {type(value).__name__} as a rational")
 

@@ -16,7 +16,7 @@ from .errors import FairsliceError, ParseError
 from .intervals import IntervalSet
 from .model import Instance, Resource, Valuation
 from .properties import PropertyReport
-from .rationals import format_rational, parse_rational
+from .rationals import echo, format_rational, parse_rational
 
 
 def parse_instance(document: bytes | str) -> Instance:
@@ -33,7 +33,7 @@ def parse_instance(document: bytes | str) -> Instance:
         kind = Resource(data.get("resource"))
     except ValueError:
         raise ParseError(
-            f'"resource" must be "cake" or "chore", got {data.get("resource")!r}'
+            f'"resource" must be "cake" or "chore", got {echo(data.get("resource"))}'
         ) from None
     agents = data.get("agents")
     if not isinstance(agents, list) or not agents:
@@ -48,12 +48,12 @@ def parse_instance(document: bytes | str) -> Instance:
             raise ParseError(f"agent #{position + 1} needs a non-empty string id")
         raw = agent.get("intervals")
         if not isinstance(raw, list):
-            raise ParseError(f"agent {agent_id!r}: intervals must be a list")
+            raise ParseError(f"agent {echo(agent_id)}: intervals must be a list")
         pairs = []
         for item in raw:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise ParseError(
-                    f"agent {agent_id!r}: each interval is a [left, right] pair"
+                    f"agent {echo(agent_id)}: each interval is a [left, right] pair"
                 )
             pairs.append((parse_rational(item[0]), parse_rational(item[1])))
         ids.append(agent_id)

@@ -15,10 +15,11 @@ Every value a record needs is an entry of these rows: agent i of a profile
 with true index k_i values agent j's piece at M[j][k_i], and values what it
 would get by reporting [0, k/D] at the k_i entry of row i in the profile
 with its index replaced by k. Phase 2 reads them in instance order and
-reduces each agent's D+1 deviation values to its truthfulness report. The
-rows live exactly as long as one sweep_prefix_grid call, so nothing carries
-over from one sweep to the next. Sweeps are capped at SWEEP_PROFILE_CAP
-profiles, which bounds the rows' memory.
+reduces each agent's D+1 deviation values to its truthfulness report, its
+own value M[i][k_i] being the truthful value. The rows live exactly as long
+as one sweep_prefix_grid call, so nothing carries over from one sweep to
+the next. Sweeps are capped at SWEEP_PROFILE_CAP profiles, which bounds the
+rows' memory.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Iterator, Sequence
 from .errors import SearchSpaceTooLargeError
 from .intervals import IntervalSet
 from .mechanisms import MechanismInfo, get_mechanism
-from .model import Instance, Resource, Valuation
+from .model import Instance, Resource, Valuation, default_ids
 from .properties import (
     PropertyReport,
     allocation_reports,
@@ -135,8 +136,9 @@ def sweep_prefix_grid(
     span = grid_denominator + 1
     strides = [span ** (n - 1 - i) for i in range(n)]
     point_texts = to_jsonable(points)
+    ids = default_ids(n)
     for index, ks in enumerate(profiles):
-        instance = Instance(mechanism.kind, tuple(valuations[k] for k in ks))
+        own = [rows[index][i][k] for i, k in enumerate(ks)]
         truthful = []
         for agent, (k, stride) in enumerate(zip(ks, strides)):
             first = index - k * stride
@@ -146,15 +148,15 @@ def sweep_prefix_grid(
             ]
             truthful.append(
                 summarize_deviation_search(
-                    mechanism, instance, agent, grid_denominator, "prefix",
-                    candidates, values,
+                    mechanism.kind, ids[agent], grid_denominator, "prefix",
+                    candidates, values, own[agent],
                 )
             )
         text, broken = checks[index]
         record = {
             "instance": index,
             "xs": [point_texts[k] for k in ks],
-            "values": to_jsonable([rows[index][i][k] for i, k in enumerate(ks)]),
+            "values": to_jsonable(own),
             "reports": json.loads(text) + [report_document(r) for r in truthful],
         }
         yield record, list(broken) + guarantee_violations(mechanism, truthful)

@@ -618,6 +618,55 @@ class TestUsageErrors:
         )
         assert err.count("\n") == 1 and len(err) < 300
 
+    @pytest.mark.parametrize(
+        "args, document, expected",
+        [
+            (
+                ["verify"],
+                {"resource": "x" * 5000, "agents": [{"id": "a1", "intervals": []}]},
+                '"resource" must be "cake" or "chore", got '
+                f"{'x' * 40!r}... (5000 characters)",
+            ),
+            (
+                ["verify"],
+                {"resource": list(range(2000)), "agents": [{"id": "a1", "intervals": []}]},
+                '"resource" must be "cake" or "chore", got '
+                f"{str(list(range(2000)))[:40]!r}... "
+                f"({len(str(list(range(2000))))} characters)",
+            ),
+            (
+                ["verify"],
+                {"resource": "cake", "agents": [{"id": "b" * 5000, "intervals": "none"}]},
+                f"agent {'b' * 40!r}... (5000 characters): intervals must be a list",
+            ),
+            (
+                ["verify"],
+                {"resource": "cake", "agents": [
+                    {"id": f"agent-{k:05d}", "intervals": []}
+                    for k in [*range(2999), 1500]
+                ]},
+                "duplicate agent id 'agent-01500' among 3000 ids",
+            ),
+            (
+                ["deviate", "--agent", "zz"],
+                {"resource": "cake", "agents": [
+                    {"id": f"agent-{k:05d}", "intervals": []} for k in range(2999)
+                ]},
+                "unknown agent 'zz'; the instance has 2999 agents",
+            ),
+        ],
+    )
+    def test_outside_text_echoed_in_part(self, fx, capsys, args, document, expected):
+        path = fx["dir"] / "echo.json"
+        path.write_text(json.dumps(document))
+        code = main([args[0], "--mechanism", "prefix-cake", "--instance", str(path),
+                     *args[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"fairslice: error: {expected}\n"
+        assert len(captured.err.encode()) < 300
+
     def test_enumerate_needs_agents(self, capsys):
         code = main(["enumerate", "--mechanism", "prefix-cake", "--n", "0"])
         assert code == 2

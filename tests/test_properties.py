@@ -612,6 +612,59 @@ class TestSearchDeviations:
         with pytest.raises(PreconditionUnmetError, match="report family"):
             search_deviations(MECH_CAKE2, self.CUT_INSTANCE, 0, 4, "wedges")
 
+    @pytest.mark.parametrize(
+        "mechanism, instance, family, truthful",
+        [
+            (MECH_CAKE2, cake(iset((0, F(1, 3))), iset((0, 1))), "subsets", F(1, 3)),
+            (MECH_PREFIX_CAKE, prefix_instance(Resource.CAKE, [F(1, 3), HALF]),
+             "prefix", F(1, 4)),
+        ],
+    )
+    def test_true_report_off_the_grid(
+        self, monkeypatch, mechanism, instance, family, truthful
+    ):
+        """[0, 1/3] is no candidate at grid 4, so the truthful value comes
+        from one run on the true report."""
+        reports = []
+
+        def recording(mechanism, instance, agent, report):
+            reports.append(report)
+            return deviation_value(mechanism, instance, agent, report)
+
+        monkeypatch.setattr(properties, "deviation_value", recording)
+        report = search_deviations(mechanism, instance, 0, 4, family)
+        candidates = properties.candidate_reports(family, 4)
+        assert instance.desired(0) not in candidates
+        assert reports == list(candidates) + [instance.desired(0)]
+        witness = report.witness
+        assert witness["truthful_value"] == mechanism.run(instance).values(instance)[0]
+        assert witness["truthful_value"] == truthful
+        assert witness["gain"] == witness["best_value"] - truthful
+        assert report.verdict == ("violated" if witness["gain"] > 0 else "holds")
+
+    @pytest.mark.parametrize(
+        "kind, truthful, verdict, best, gain",
+        [(Resource.CAKE, 2, "violated", 3, 1), (Resource.CHORE, 1, "holds", 1, 0)],
+    )
+    def test_summary_reads_only_values(
+        self, monkeypatch, kind, truthful, verdict, best, gain
+    ):
+        def forbidden(*args):
+            raise AssertionError("the summary compared or measured a set")
+
+        monkeypatch.setattr(IntervalSet, "__eq__", forbidden)
+        monkeypatch.setattr(IntervalSet, "measure_intersection", forbidden)
+        reports = properties.candidate_reports("prefix", 4)
+        values = [F(v) for v in (2, 3, 1, 3, 1)]
+        report = properties.summarize_deviation_search(
+            kind, "b7", 4, "prefix", reports, values, F(truthful)
+        )
+        assert report.verdict == verdict
+        assert report.witness["agent"] == "b7"
+        assert report.witness["best_value"] == best
+        assert report.witness["best_report"].intervals == reports[values.index(best)].intervals
+        assert report.witness["gain"] == gain
+
     def test_deterministic_and_worker_independent(self):
         serial = search_deviations(MECH_CUT_CHOOSE, self.CUT_INSTANCE, 0, 8, "subsets")
         again = search_deviations(MECH_CUT_CHOOSE, self.CUT_INSTANCE, 0, 8, "subsets")

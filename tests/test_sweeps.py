@@ -17,7 +17,7 @@ from fairslice import (
     get_mechanism,
     search_deviations,
 )
-from fairslice import mechanisms
+from fairslice import mechanisms, model
 from fairslice.cli import main
 from fairslice.properties import allocation_reports, grid_points
 from fairslice.rationals import parse_rational
@@ -165,3 +165,22 @@ def test_oversized_sweep_refused_before_any_run(monkeypatch, tmp_path):
     next(sweep_prefix_grid("prefix-cake", 4, 8))
     assert len(runs()) == 9**4
     assert len(set(runs())) == 9**4
+
+
+def test_instances_built_only_in_phase_one(monkeypatch):
+    """A record reads its ids and values from the rows, so a sweep builds
+    one Instance per profile, every one before the first record."""
+    built = []
+    post_init = model.Instance.__post_init__
+
+    def counting(instance):
+        built.append(instance)
+        post_init(instance)
+
+    monkeypatch.setattr(model.Instance, "__post_init__", counting)
+    sweep = sweep_prefix_grid("prefix-cake", 3, 6)
+    next(sweep)
+    assert len(built) == 343
+    assert sum(1 for _ in sweep) == 342
+    assert len(built) == 343
+    assert len({instance.valuations for instance in built}) == 343
