@@ -12,12 +12,17 @@ its own name so the two routes can be checked against each other.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .eating import allocate_cake2_eating
-from .errors import NotPrefixFormError, PreconditionUnmetError
+from .errors import (
+    NotPrefixFormError,
+    PreconditionUnmetError,
+    SearchSpaceTooLargeError,
+)
 from .intervals import FULL, ONE, ZERO, IntervalSet, atoms
 from .model import Allocation, Instance, Resource
 from .rationals import format_intervals
@@ -46,7 +51,27 @@ def crossing_point(w1: IntervalSet, w2: IntervalSet) -> Fraction:
     raise AssertionError("unreachable: g(1) = v1([0, 1]) >= 0")
 
 
-def _require(instance: Instance, kind: Resource, n: int | None) -> None:
+# The n-agent mechanisms refuse more agents than their caps, before any
+# round. Each cap comes from one run and one `verify` per instance (2 CPUs,
+# Python 3.11.7). prefix-cake's output grows as about n^2 intervals whose
+# denominators grow with n: on distinct claims drawn from the 1/100003 grid
+# `verify` took 0.71 s / 32 MiB at n=200, 2.2-3.2 s / 85 MiB at n=400 and
+# 19.5 s / 500 MiB at n=800. Tied claimants leave together, so coarse claims
+# cost less (n=1600 on the 1/24 grid: 3.5 s), but n times the number of
+# distinct claims, which bounds the slice count, does not bound the cost:
+# n=1600 with 100 distinct claims took 12.3 s. So the cap counts agents and
+# also refuses some cheap coarse-grid instances.
+PREFIX_CAKE_AGENT_CAP = 400
+# prefix-chore's output stays near n intervals, but `verify` fills an n x n
+# value matrix and the chore's receiver search is O(n) per slice. On equal
+# or sorted distinct claims `verify` took 1.5 s / 31 MiB at n=800, 3.1-4.0 s
+# at n=1200 and 6.6-7.2 s at n=1600.
+PREFIX_CHORE_AGENT_CAP = 800
+
+
+def _require(
+    instance: Instance, kind: Resource, n: int | None, cap: int | None = None
+) -> None:
     if instance.kind is not kind:
         raise PreconditionUnmetError(
             f"mechanism serves {kind.value}s, instance is a {instance.kind.value}"
@@ -54,6 +79,11 @@ def _require(instance: Instance, kind: Resource, n: int | None) -> None:
     if n is not None and instance.n != n:
         raise PreconditionUnmetError(
             f"mechanism serves exactly {n} agents, instance has {instance.n}"
+        )
+    if cap is not None and instance.n > cap:
+        raise SearchSpaceTooLargeError(
+            f"mechanism serves at most {cap} agents, "
+            f"instance has {instance.n}"
         )
 
 
@@ -115,32 +145,46 @@ def _min_prefix_point(s: IntervalSet, target: Fraction) -> Fraction:
 def allocate_prefix_cake(instance: Instance) -> Allocation:
     """N-agent cake for prefix reports [0, x_i].
 
-    Rounds over the unallocated suffix [o, 1]: each surviving agent at
-    position i (1-based, in original order) would get the i-th slice of
-    width x, where x is the largest width every claimant can still
-    stomach — min over i of her residual claim divided by i. The
-    lowest-positioned agent whose residual claim is exactly exhausted
-    leaves; the last agent standing takes the whole remainder.
+    Rounds over the unallocated suffix [o, 1]: each claimant at position i
+    (1-based, in original order) would get the i-th slice of width x,
+    where x is the largest width every claimant can still stomach — min
+    over i of her residual claim x_i - o divided by i. The first claimant
+    whose width attains the min, i.e. whose residual claim the round
+    exhausts, leaves; the last agent standing takes the whole remainder.
+
+    A round costs one subtraction, one division and one addition per
+    claimant. Claimants already exhausted (x_i <= o) would each leave in a
+    round of width zero that hands out nothing, so they leave together
+    before the next round; if that would leave no one, the last of them
+    stays to take the remainder.
     """
-    _require(instance, Resource.CAKE, None)
+    _require(instance, Resource.CAKE, None, PREFIX_CAKE_AGENT_CAP)
     xs = prefix_endpoints(instance)
     segments: list[list[tuple[Fraction, Fraction]]] = [[] for _ in xs]
     active = list(range(instance.n))
     o = ZERO
-    while len(active) > 1:
-        residual = [max(ZERO, xs[j] - o) for j in active]
-        x = min(r / i for i, r in enumerate(residual, start=1))
-        exiting = None
-        for pos, j in enumerate(active, start=1):
-            segments[j].append((o + (pos - 1) * x, o + pos * x))
-            if exiting is None and pos * x == residual[pos - 1]:
-                exiting = j
-        o += len(active) * x
+    while True:
+        active = [j for j in active if xs[j] > o] or active[-1:]
+        if len(active) == 1:
+            break
+        widths = [(xs[j] - o) / i for i, j in enumerate(active, start=1)]
+        x = min(widths)
+        exiting = active[widths.index(x)]
+        for j in active:
+            end = o + x
+            segments[j].append((o, end))
+            o = end
         active.remove(exiting)
-    segments[active[0]].append((o, ONE))
-    return Allocation(
-        tuple(IntervalSet.from_endpoints(segs) for segs in segments)
-    )
+    # every slice has positive width and a claimant's slices are separated
+    # by the others', so each list is already canonical save for the rest
+    # [o, 1], which touches the survivor's last slice if she was last in
+    # the final round
+    survivor = segments[active[0]]
+    if survivor and survivor[-1][1] == o:
+        survivor[-1] = (survivor[-1][0], ONE)
+    elif o < ONE:
+        survivor.append((o, ONE))
+    return Allocation(tuple(IntervalSet(tuple(segs)) for segs in segments))
 
 
 def allocate_prefix_chore(instance: Instance) -> Allocation:
@@ -158,9 +202,12 @@ def allocate_prefix_chore(instance: Instance) -> Allocation:
     handed to the lowest such j, who carries them at zero burden. The last
     agent takes whatever is left.
     """
-    _require(instance, Resource.CHORE, None)
+    _require(instance, Resource.CHORE, None, PREFIX_CHORE_AGENT_CAP)
     xs = prefix_endpoints(instance)
     n = instance.n
+    # sorted once per run: her own x_i never lies strictly inside her
+    # burdensome take, which ends at or before reach <= x_i
+    cuts = sorted(set(xs))
     segments: list[list[tuple[Fraction, Fraction]]] = [[] for _ in xs]
     # the remainder is always one interval [lo, hi], empty once lo == hi
     lo, hi = ZERO, ONE
@@ -182,8 +229,8 @@ def allocate_prefix_chore(instance: Instance) -> Allocation:
             left, right = lo, lo + share
             lo, hi = right, reach
         if left < right:
-            cuts = sorted({xs[j] for j in range(n) if j != i})
-            marks = [left] + [c for c in cuts if left < c < right] + [right]
+            inner = cuts[bisect_right(cuts, left) : bisect_left(cuts, right)]
+            marks = [left, *inner, right]
             for a, b in zip(marks, marks[1:]):
                 receiver = next((j for j in range(n) if j != i and xs[j] <= a), i)
                 segments[receiver].append((a, b))
@@ -240,7 +287,7 @@ class MechanismInfo:
 
     name: str
     kind: Resource
-    n_agents: int | None  # None = any number
+    n_agents: int | None  # None = any number up to the mechanism's cap
     prefix_only: bool
     guarantees: frozenset[str]
     run: Callable[[Instance], Allocation]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import (
@@ -115,9 +116,12 @@ class Allocation:
     def __post_init__(self) -> None:
         # Each piece is canonical, so all their intervals sorted by left end
         # overlap with positive length iff one starts before the previous
-        # one ends; without overlap they cover [0, 1] iff they chain from 0
-        # to 1 with no gap.
-        spans = sorted(iv for piece in self.pieces for iv in piece.intervals)
+        # one ends (two with the same left end always do); without overlap
+        # they cover [0, 1] iff they chain from 0 to 1 with no gap.
+        spans = sorted(
+            (iv for piece in self.pieces for iv in piece.intervals),
+            key=itemgetter(0),
+        )
         for (_, prev_right), (left, _) in zip(spans, spans[1:]):
             if left < prev_right:
                 raise MalformedIntervalError("allocation pieces overlap")

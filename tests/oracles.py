@@ -214,3 +214,33 @@ def naive_prefix_chore(xs):
                 segments[min(receivers) if receivers else i].append((a, b))
     segments[n - 1] += remaining
     return [naive_canonical(segment) for segment in segments]
+
+
+# --- prefix cake, one exit per round -----------------------------------------
+
+def naive_prefix_cake(xs):
+    """The n-agent prefix cake divider applied round by round as stated:
+    every active claimant takes part in every round, rounds of width zero
+    included. The width is the least residual claim max(0, x_j - offset)
+    divided by the claimant's 1-based position; each claimant takes her
+    slice of that width in position order, and the first one whose
+    residual claim the round exactly exhausts leaves. The last agent
+    standing takes the rest.
+
+    Returns each agent's piece as a canonical interval list.
+    """
+    segments = [[] for _ in xs]
+    active = list(range(len(xs)))
+    offset = ZERO
+    while len(active) > 1:
+        residual = [max(ZERO, xs[j] - offset) for j in active]
+        width = min(r / (pos + 1) for pos, r in enumerate(residual))
+        leaving = None
+        for pos, j in enumerate(active):
+            segments[j].append((offset + pos * width, offset + (pos + 1) * width))
+            if leaving is None and (pos + 1) * width == residual[pos]:
+                leaving = j
+        offset += len(active) * width
+        active.remove(leaving)
+    segments[active[0]].append((offset, ONE))
+    return [naive_canonical(segment) for segment in segments]

@@ -1,6 +1,7 @@
 """End-to-end command line behavior through ``main``."""
 
 import dataclasses
+import hashlib
 import json
 import sys
 import time
@@ -241,6 +242,110 @@ class TestVerify:
         code = main(["verify", "--mechanism", "cake2", "--instance", fx["three"]])
         assert code == 2
         assert "exactly 2 agents" in capsys.readouterr().err
+
+
+def _run_machine(capsys, command, mechanism, path):
+    code = main([command, "--mechanism", mechanism, "--instance", str(path),
+                 "--format", "machine"])
+    return code, capsys.readouterr().out
+
+
+# Prefix profiles on the 1/24 grid, with repeated and zero claims, and the
+# SHA-256 of the exact `verify` and `allocate` stdout (--format machine)
+# printed before the prefix mechanisms were reworked to do less Fraction
+# arithmetic. Any change to a piece, a value or a witness changes a digest.
+GOLDEN_PREFIX = [
+    ("prefix-cake", (0, 6, 6, 17),
+     "c2c9eb2f26c86147563028b3481327ede155074273e5a66e3664dd55b91804b8",
+     "c682c237a57c1bcd51ec86673d9fc9f145e59c20da81c73c5b614a3450217ace"),
+    ("prefix-chore", (24, 3, 3, 0),
+     "6d52b4bd8f248db48a8102bd6075782d3a1a564f7ed240e14b913da9b269f355",
+     "4b19f67cfb104c24086e5c22c3a16fc453b02e67a9181ae35acdae7a787bd0bd"),
+    ("prefix-cake",
+     (12, 16, 6, 20, 12, 0, 24, 12, 20, 5, 0, 6, 0, 12, 6, 24),
+     "fb580d80d0d82de1c91b6fcdf6ef10505e1cacac217c94211035fa458baa79b3",
+     "2da0029279529752f625a4418107c7e30dfcf1250be0337c2d945c59af3fef3c"),
+    ("prefix-chore",
+     (0, 12, 12, 6, 6, 0, 0, 6, 0, 6, 12, 12, 2, 24, 0, 0),
+     "97ebae998de57e5f50074c6758cb6d9ee6f8d2d1188d71a0ad09360524b4a8d7",
+     "4223f03b31ced7c1c2ffb80821a1ec1dfd89bf9ff33477a79314ed9cbcb4b5bb"),
+    ("prefix-cake",
+     (0, 0, 12, 24, 12, 3, 12, 12, 6, 0, 12, 20, 3, 6, 24, 12,
+      0, 24, 0, 11, 4, 3, 24, 6, 6, 24, 24, 15, 0, 0, 6, 12),
+     "033232a075c0927bf77f90824f7fe8a3dde6217b44b986900ee385c7457e9ddf",
+     "a132cab207bfc3cfb5e281857293cf3107967c44d2cd553f6c5949591ea85097"),
+    ("prefix-chore",
+     (13, 15, 0, 12, 20, 6, 0, 12, 0, 6, 16, 12, 12, 21, 4, 12,
+      6, 0, 12, 6, 0, 2, 0, 3, 0, 0, 12, 0, 12, 0, 0, 6),
+     "97ebae998de57e5f50074c6758cb6d9ee6f8d2d1188d71a0ad09360524b4a8d7",
+     "68f23c0453149feb841e4bebafbcb62dbe84ad1e2d26e41d1ec78ec0e98a3d3e"),
+]
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("name, claims, verify_digest, allocate_digest",
+                             GOLDEN_PREFIX)
+    def test_prefix_output_frozen(
+        self, fx, capsys, name, claims, verify_digest, allocate_digest
+    ):
+        path = fx["dir"] / "golden.json"
+        path.write_text(json.dumps({
+            "resource": get_mechanism(name).kind.value,
+            "agents": [
+                {"id": f"a{i + 1}", "intervals": [["0", f"{k}/24"]]}
+                for i, k in enumerate(claims)
+            ],
+        }))
+        # only prefix-cake breaks a property here: connectedness, and at
+        # n = 4 anonymity
+        expected_code = 1 if name == "prefix-cake" else 0
+        for command, digest, code in (
+            ("verify", verify_digest, expected_code),
+            ("allocate", allocate_digest, 0),
+        ):
+            got_code, out = _run_machine(capsys, command, name, path)
+            assert got_code == code
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, out[:400]
+
+    @pytest.mark.parametrize(
+        "document, expected",
+        [
+            (
+                CUTCHOOSE,
+                '{"property": "pareto", "verdict": "violated", "witness": '
+                '{"atom": ["1/4", "1/2"], "owner": "a2", "wanted_by": ["a1"]}}\n'
+                '{"property": "anonymity", "verdict": "violated", "witness": '
+                '{"sigma": [1, 0], "original_values": ["1/2", "1/4"], '
+                '"permuted_values": ["7/8", "1/8"], "agent": "a1", '
+                '"original_value": "1/2", "permuted_value": "7/8"}}\n',
+            ),
+            (
+                {"resource": "cake", "agents": [
+                    {"id": "a1", "intervals": [
+                        ["1/48", "5/48"], ["1/3", "17/24"], ["3/4", "47/48"]]},
+                    {"id": "a2", "intervals": [
+                        ["0", "1/6"], ["5/16", "3/8"], ["7/12", "2/3"]]},
+                ]},
+                '{"property": "pareto", "verdict": "violated", "witness": '
+                '{"atom": ["3/8", "7/12"], "owner": "a2", "wanted_by": ["a1"]}}\n'
+                '{"property": "anonymity", "verdict": "violated", "witness": '
+                '{"sigma": [1, 0], "original_values": ["11/32", "23/96"], '
+                '"permuted_values": ["29/48", "5/32"], "agent": "a1", '
+                '"original_value": "11/32", "permuted_value": "29/48"}}\n',
+            ),
+        ],
+    )
+    def test_pareto_witness_frozen(self, fx, capsys, document, expected):
+        path = fx["dir"] / "golden.json"
+        path.write_text(json.dumps(document))
+        code, out = _run_machine(capsys, "verify", "cut-and-choose", path)
+        assert code == 1
+        assert out == (
+            '{"property": "full-and-connected", "verdict": "holds", "witness": '
+            '{"full": "holds", "connected": "holds"}}\n'
+            '{"property": "envy-free", "verdict": "holds", "witness": null}\n'
+            '{"property": "proportional", "verdict": "holds", "witness": null}\n'
+        ) + expected
 
 
 class TestDeviate:
@@ -666,6 +771,32 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == f"fairslice: error: {expected}\n"
         assert len(captured.err.encode()) < 300
+
+    @pytest.mark.parametrize(
+        "name, cap",
+        [
+            ("prefix-cake", mechanisms.PREFIX_CAKE_AGENT_CAP),
+            ("prefix-chore", mechanisms.PREFIX_CHORE_AGENT_CAP),
+        ],
+    )
+    def test_agent_cap_fails_fast(self, fx, capsys, name, cap):
+        path = fx["dir"] / "many.json"
+        path.write_text(json.dumps({
+            "resource": get_mechanism(name).kind.value,
+            # distinct claims: past the cap prefix-cake's output grows as n^2
+            "agents": [
+                {"id": f"a{i + 1}", "intervals": [["0", f"{i + 1}/100003"]]}
+                for i in range(cap + 1)
+            ],
+        }))
+        code = main(["verify", "--mechanism", name, "--instance", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"fairslice: error: mechanism serves at most {cap} agents, "
+            f"instance has {cap + 1}\n"
+        )
 
     def test_enumerate_needs_agents(self, capsys):
         code = main(["enumerate", "--mechanism", "prefix-cake", "--n", "0"])

@@ -12,6 +12,7 @@ from fairslice import (
     NotPrefixFormError,
     PreconditionUnmetError,
     Resource,
+    SearchSpaceTooLargeError,
     allocate_cake2,
     allocate_chore2,
     allocate_connected_baseline,
@@ -20,6 +21,7 @@ from fairslice import (
     allocate_prefix_chore,
     crossing_point,
     get_mechanism,
+    mechanisms,
 )
 from helpers import (
     F,
@@ -227,6 +229,43 @@ class TestPrefixCake:
         with pytest.raises(NotPrefixFormError):
             allocate_prefix_cake(inst)
 
+    @staticmethod
+    def _assert_matches_round_rule(xs):
+        inst = prefix_instance(Resource.CAKE, xs)
+        pieces = [list(piece.intervals) for piece in allocate_prefix_cake(inst).pieces]
+        assert pieces == oracles.naive_prefix_cake(xs), xs
+
+    @pytest.mark.parametrize("n, d", [(n, d) for n in range(1, 5) for d in range(1, 5)])
+    def test_matches_round_rule_on_every_grid_profile(self, n, d):
+        for ks in itertools.product(range(d + 1), repeat=n):
+            self._assert_matches_round_rule([F(k, d) for k in ks])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_round_rule_on_tied_random_profiles(self, seed):
+        """Up to 40 claims drawn mostly from a few values and zero, so
+        many claimants run out in the same round and leave together."""
+        rng = Random(seed)
+        for _ in range(60):
+            d = rng.choice([2, 3, 6, 24, 97])
+            pool = [F(0)] + [F(rng.randint(0, d), d) for _ in range(rng.randint(1, 4))]
+            xs = [
+                rng.choice(pool) if rng.random() < 0.8 else F(rng.randint(0, d), d)
+                for _ in range(rng.randint(1, 40))
+            ]
+            self._assert_matches_round_rule(xs)
+
+    def test_all_exhausted_last_claimant_takes_the_rest(self):
+        inst = prefix_instance(Resource.CAKE, (F(1, 4), F(1, 4), F(1, 4)))
+        alloc = allocate_prefix_cake(inst)
+        # one round of width 1/12 exhausts every claim and the third agent
+        # leaves; of the two exhausted claimants left, the last one stays
+        # to take [1/4, 1]
+        assert alloc.pieces == (
+            iset((0, F(1, 12))),
+            iset((F(1, 12), F(1, 6)), (F(1, 4), 1)),
+            iset((F(1, 6), F(1, 4))),
+        )
+
     @given(prefix_instances(Resource.CAKE))
     def test_envy_free_for_all_pairs(self, inst):
         alloc = allocate_prefix_cake(inst)
@@ -413,6 +452,33 @@ class TestConnectedBaseline:
             own = inst.valuations[i].value(alloc.pieces[i])
             other = inst.valuations[i].value(alloc.pieces[1 - i])
             assert own >= other
+
+
+class TestAgentCap:
+    CAPS = [
+        ("prefix-cake", mechanisms.PREFIX_CAKE_AGENT_CAP),
+        ("prefix-chore", mechanisms.PREFIX_CHORE_AGENT_CAP),
+    ]
+
+    @pytest.mark.parametrize("name, cap", CAPS)
+    def test_refused_before_any_round(self, monkeypatch, name, cap):
+        def unreachable(instance):
+            raise AssertionError("the mechanism read its reports")
+
+        monkeypatch.setattr(mechanisms, "prefix_endpoints", unreachable)
+        mechanism = get_mechanism(name)
+        inst = prefix_instance(mechanism.kind, [F(k % 97, 97) for k in range(cap + 1)])
+        with pytest.raises(
+            SearchSpaceTooLargeError,
+            match=f"at most {cap} agents, instance has {cap + 1}",
+        ):
+            mechanism.run(inst)
+
+    @pytest.mark.parametrize("name, cap", CAPS)
+    def test_cap_itself_is_served(self, name, cap):
+        mechanism = get_mechanism(name)
+        inst = prefix_instance(mechanism.kind, [F(k % 24, 24) for k in range(cap)])
+        assert mechanism.run(inst).n == cap
 
 
 class TestRegistry:

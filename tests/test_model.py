@@ -103,6 +103,19 @@ class TestAllocation:
                 free_disposal=True,
             )
 
+    @pytest.mark.parametrize("free_disposal", [False, True])
+    def test_pieces_sharing_a_left_endpoint_rejected(self, free_disposal):
+        # spans are sorted by left end only, so the two starting at 1/4
+        # stay in piece order; either order overlaps
+        for first, second in (
+            (iset((F(1, 4), HALF)), iset((F(1, 4), F(3, 8)), (HALF, 1))),
+            (iset((F(1, 4), F(3, 8)), (HALF, 1)), iset((F(1, 4), HALF))),
+        ):
+            with pytest.raises(MalformedIntervalError, match="overlap"):
+                Allocation(
+                    (iset((0, F(1, 4))), first, second), free_disposal=free_disposal
+                )
+
     def test_cover_with_a_gap_rejected_but_overlap_reported_first(self):
         with pytest.raises(MalformedIntervalError, match="cover"):
             Allocation((iset((0, F(1, 4)), (HALF, 1)), iset((F(1, 4), F(3, 8)))))

@@ -414,6 +414,16 @@ class TestIndicatorVector:
             indicator_vector(inst)
 
 
+def _pareto_reports(instance, allocation):
+    """check_pareto measuring its own values, and reading them from the
+    value matrix as `verify` hands them over."""
+    matrix = properties.value_matrix(instance, allocation)
+    return (
+        check_pareto(instance, allocation),
+        check_pareto(instance, allocation, lambda i, j: matrix[i][j]),
+    )
+
+
 def _probe_pareto(instance, allocation):
     """check_pareto restated with one midpoint probe per atom, on the
     oracles' own atoms and membership test."""
@@ -481,11 +491,54 @@ class TestAtomWalk:
             pieces = list(mech.run(inst).pieces)
             rng.shuffle(pieces)
             alloc = Allocation(tuple(pieces))
-            report = check_pareto(inst, alloc)
-            assert report == _probe_pareto(inst, alloc), (inst, alloc)
-            verdicts.append(report.verdict)
+            expected = _probe_pareto(inst, alloc)
+            for report in _pareto_reports(inst, alloc):
+                assert report == expected, (inst, alloc)
+            verdicts.append(expected.verdict)
         assert verdicts.count("violated") >= 40
         assert verdicts.count("holds") >= 40
+
+
+class TestParetoWelfareGate:
+    """The welfare comparison decides; the atom walk only names the witness."""
+
+    def test_grid_allocations_match_mask_rule_and_atom_rule(self):
+        rng = Random(1804)
+        verdicts = []
+        for case in range(600):
+            kind = (Resource.CAKE, Resource.CHORE)[case % 2]
+            n, den = rng.randint(1, 5), rng.choice([4, 6, 8])
+            masks = [rng.getrandbits(den) for _ in range(n)]
+            cells = [(F(k, den), F(k + 1, den)) for k in range(den)]
+            inst = Instance(kind, tuple(
+                Valuation(iset(*(cells[k] for k in range(den) if m >> k & 1)))
+                for m in masks
+            ))
+            owners = [rng.randrange(n) for _ in range(den)]
+            alloc = _cell_allocation(owners, n, den)
+            owned = [0] * n
+            for cell, agent in enumerate(owners):
+                owned[agent] |= 1 << cell
+            rule = oracles.mask_pareto_rule(kind.value, masks, owned, den)
+            expected = _probe_pareto(inst, alloc)
+            for report in _pareto_reports(inst, alloc):
+                assert report == expected, (inst, alloc)
+                assert report.verdict == rule
+            verdicts.append(rule)
+        assert verdicts.count("violated") >= 150
+        assert verdicts.count("holds") >= 150
+
+    def test_holding_verdict_walks_no_pieces(self, monkeypatch):
+        """A Pareto optimal allocation is settled by the welfare bound,
+        from one atom walk over the desires alone."""
+        walked = []
+        walk = properties.atoms
+        monkeypatch.setattr(
+            properties, "atoms", lambda sets: walked.append(len(sets)) or walk(sets)
+        )
+        inst = prefix_instance(Resource.CAKE, [F(k, 24) for k in (3, 5, 8, 13, 21)])
+        assert check_pareto(inst, MECH_PREFIX_CAKE.run(inst)).holds
+        assert walked == [5]
 
 
 class TestAnonymity:
