@@ -15,6 +15,7 @@ order, byte-identical for any --workers value.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 
@@ -44,7 +45,11 @@ from .sweeps import sweep_prefix_grid
 _ANONYMITY_AGENT_CAP = 4
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every command, built on first use and then shared:
+    `parse_args` returns a fresh namespace and leaves the parser as it was,
+    so repeated in-process `main` calls pay for it once."""
     parser = argparse.ArgumentParser(
         prog="fairslice",
         description="Exact fair division of [0,1]: mechanisms and verification.",
@@ -198,8 +203,11 @@ def _cmd_verify(config: argparse.Namespace, out) -> int:
         for sigma in itertools.permutations(range(instance.n)):
             if sigma != tuple(range(instance.n)):
                 reports.append(check_anonymity(mechanism, instance, sigma, values))
-    if mechanism.name in ("cake2", "cake2-eating"):
-        reports.extend(check_crossing_vs_eating(instance))
+    # the mechanism's own route is the run above; only the other one runs
+    if mechanism.name == "cake2":
+        reports.extend(check_crossing_vs_eating(instance, crossing=allocation))
+    elif mechanism.name == "cake2-eating":
+        reports.extend(check_crossing_vs_eating(instance, eating=allocation))
     if config.instance_b:
         reports.append(
             check_position_oblivious(

@@ -15,6 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable
 
 from .eating import allocate_cake2_eating
@@ -236,9 +237,21 @@ def allocate_prefix_chore(instance: Instance) -> Allocation:
                 segments[receiver].append((a, b))
     if lo < hi:
         segments[n - 1].append((lo, hi))
-    return Allocation(
-        tuple(IntervalSet.from_endpoints(segs) for segs in segments)
-    )
+    return Allocation(tuple(_touching_merged(segs) for segs in segments))
+
+
+def _touching_merged(segments: list[tuple[Fraction, Fraction]]) -> IntervalSet:
+    """The set of nondegenerate slices that never overlap: sorted by left
+    end, with each slice that starts where the previous one ends glued on.
+    Slices that did overlap stay apart, so IntervalSet rejects them."""
+    segments.sort(key=itemgetter(0))
+    merged: list[tuple[Fraction, Fraction]] = []
+    for left, right in segments:
+        if merged and merged[-1][1] == left:
+            merged[-1] = (merged[-1][0], right)
+        else:
+            merged.append((left, right))
+    return IntervalSet(tuple(merged))
 
 
 # -- manipulable / disposal baselines ------------------------------------

@@ -355,16 +355,25 @@ def check_position_oblivious(
     return _holds("position-oblivious", witness)
 
 
-def check_crossing_vs_eating(instance: Instance) -> tuple[PropertyReport, PropertyReport]:
+def check_crossing_vs_eating(
+    instance: Instance,
+    crossing: Allocation | None = None,
+    eating: Allocation | None = None,
+) -> tuple[PropertyReport, PropertyReport]:
     """Compare the two independent formulations of the two-agent cake split.
 
     The crossing form and the eating race provably give each agent the
     same value; the physical pieces can legitimately differ (only in cake
     neither agent wants) when the last active eater leaps holes, and any
     such difference is reported as a finding rather than masked.
+
+    A caller that already ran one route on this instance may pass its
+    allocation as `crossing` or `eating`; a route not passed runs here.
     """
-    crossing = allocate_cake2(instance)
-    eating, _ = simulate_eating(instance)
+    if crossing is None:
+        crossing = allocate_cake2(instance)
+    if eating is None:
+        eating, _ = simulate_eating(instance)
     values_crossing = crossing.values(instance)
     values_eating = eating.values(instance)
     value_witness: dict = {

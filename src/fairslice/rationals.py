@@ -15,11 +15,12 @@ from typing import Sequence
 
 from .errors import FairsliceError, ParseError
 
-# "p/q", an optionally-signed integer, or a plain decimal. Nothing else:
-# Fraction() itself also takes scientific notation, which is not part of
-# the file format and stays rejected.
+# "p/q", an optionally-signed integer, or a plain decimal, in ASCII digits
+# with no space around the slash. Nothing else: Fraction() itself also takes
+# scientific notation and any Unicode digit, neither of which is part of
+# the file format, so both stay rejected.
 _RATIONAL_TEXT = re.compile(
-    r"[+-]?\d+\s*/\s*\d+$|[+-]?\d+$|[+-]?\d*\.\d+$|[+-]?\d+\.\d*$"
+    r"[+-]?\d+/\d+$|[+-]?\d+$|[+-]?\d*\.\d+$|[+-]?\d+\.\d*$", re.ASCII
 )
 # an error message quotes at most this many characters of the bad text
 _ECHO_LIMIT = 40

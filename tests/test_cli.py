@@ -3,13 +3,16 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
 
 import pytest
 
-from fairslice import get_mechanism, mechanisms
-from fairslice.cli import main
+import fairslice
+from fairslice import get_mechanism, mechanisms, properties
+from fairslice.cli import build_parser, main
 
 UNEVEN = {
     "resource": "cake",
@@ -205,6 +208,7 @@ class TestVerify:
             ("prefix-cake", 3, False, 6),
             # the instance, its one swap, and the paired instance
             ("cake2", 2, True, 3),
+            ("cake2-eating", 2, True, 3),
             # no anonymity check past four agents
             ("prefix-chore", 5, False, 1),
         ],
@@ -212,16 +216,33 @@ class TestVerify:
     def test_each_profile_runs_once(
         self, fx, capsys, monkeypatch, name, agents, instance_b, runs
     ):
+        # crossing-vs-eating reuses the instance's run for the mechanism's
+        # own route and runs only the other one: (crossing, eating) runs
+        crossing_runs, eating_runs = {
+            "cake2": (0, 1), "cake2-eating": (1, 0)
+        }.get(name, (0, 0))
         original = get_mechanism(name)
         seen = []
+        routes = {"allocate_cake2": 0, "simulate_eating": 0}
 
         def counting(instance):
             seen.append(instance)
             return original.run(instance)
 
+        def counted_route(attribute):
+            route = getattr(properties, attribute)
+
+            def run(instance):
+                routes[attribute] += 1
+                return route(instance)
+
+            monkeypatch.setattr(properties, attribute, run)
+
         monkeypatch.setitem(
             mechanisms.MECHANISMS, name, dataclasses.replace(original, run=counting)
         )
+        counted_route("allocate_cake2")
+        counted_route("simulate_eating")
         if agents == 2:
             args = ["--instance", fx["uneven"], "--instance-b", fx["shifted"]]
         else:
@@ -237,6 +258,9 @@ class TestVerify:
         main(["verify", "--mechanism", name, *args])
         assert len(seen) == runs
         assert len(set(seen)) == runs
+        assert routes == {
+            "allocate_cake2": crossing_runs, "simulate_eating": eating_runs
+        }
 
     def test_wrong_agent_count(self, fx, capsys):
         code = main(["verify", "--mechanism", "cake2", "--instance", fx["three"]])
@@ -281,6 +305,39 @@ GOLDEN_PREFIX = [
      "68f23c0453149feb841e4bebafbcb62dbe84ad1e2d26e41d1ec78ec0e98a3d3e"),
 ]
 
+# Two-agent cakes and the SHA-256 of the exact `verify --format machine`
+# stdout for cake2 and cake2-eating, printed while crossing-vs-eating still
+# ran both routes itself. HOLES is criterion 5's kind: the eating race and
+# the crossing form give a1 different pieces (they differ only in cake
+# neither agent wants), so crossing-vs-eating-pieces is violated; on
+# FRAGMENTED the pieces agree and anonymity is what fails.
+HOLES = {
+    "resource": "cake",
+    "agents": [
+        {"id": "a1", "intervals": [["0", "1/4"], ["3/8", "1/2"]]},
+        {"id": "a2", "intervals": [["1/2", "3/4"]]},
+    ],
+}
+FRAGMENTED = {
+    "resource": "cake",
+    "agents": [
+        {"id": "a1", "intervals": [["1/48", "5/48"], ["1/3", "17/24"],
+                                   ["3/4", "47/48"]]},
+        {"id": "a2", "intervals": [["0", "1/6"], ["5/16", "3/8"],
+                                   ["7/12", "2/3"]]},
+    ],
+}
+GOLDEN_TWO_AGENT = [
+    ("cake2", HOLES, "violated",
+     "e4f0bd3b3b5a91da93113d02cdfa26debe585e4cab81c480ddac62ff7cf8672e"),
+    ("cake2-eating", HOLES, "violated",
+     "84a098e45b4fac138c7e0aebd92f94308a713c938f3e8b3f884b897e9ece7ef7"),
+    ("cake2", FRAGMENTED, "holds",
+     "7f409d9128f049c5b7b34c10eaa2e2f9eb08669a465cac1517453e1936e73665"),
+    ("cake2-eating", FRAGMENTED, "holds",
+     "7f409d9128f049c5b7b34c10eaa2e2f9eb08669a465cac1517453e1936e73665"),
+]
+
 
 class TestGoldenBytes:
     @pytest.mark.parametrize("name, claims, verify_digest, allocate_digest",
@@ -306,6 +363,20 @@ class TestGoldenBytes:
             got_code, out = _run_machine(capsys, command, name, path)
             assert got_code == code
             assert hashlib.sha256(out.encode()).hexdigest() == digest, out[:400]
+
+    @pytest.mark.parametrize("name, document, pieces_verdict, digest",
+                             GOLDEN_TWO_AGENT)
+    def test_two_agent_verify_frozen(
+        self, fx, capsys, name, document, pieces_verdict, digest
+    ):
+        path = fx["dir"] / "golden.json"
+        path.write_text(json.dumps(document))
+        code, out = _run_machine(capsys, "verify", name, path)
+        assert code == 1
+        pieces = json.loads(out.splitlines()[-1])
+        assert pieces["property"] == "crossing-vs-eating-pieces"
+        assert pieces["verdict"] == pieces_verdict
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out[:400]
 
     @pytest.mark.parametrize(
         "document, expected",
@@ -575,6 +646,29 @@ class TestUsageErrors:
         assert code == 2
         assert "floats are not accepted" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "endpoint",
+        ["\u0661/\u0662", "\uff11/\uff12", "1 / 2"],
+        ids=["arabic-indic-digits", "fullwidth-digits", "spaced-slash"],
+    )
+    def test_rational_outside_the_ascii_grammar(self, fx, capsys, endpoint):
+        path = fx["dir"] / "digits.json"
+        path.write_text(json.dumps({
+            "resource": "cake",
+            "agents": [
+                {"id": "a1", "intervals": [["0", endpoint]]},
+                {"id": "a2", "intervals": [["0", "1"]]},
+            ],
+        }))
+        code = main(["allocate", "--mechanism", "cake2", "--instance", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"fairslice: error: cannot parse {endpoint!r} as a rational: "
+            'expected "p/q" or a decimal string\n'
+        )
+
     def test_grid_must_be_positive(self, fx, capsys):
         code = main(
             [
@@ -815,3 +909,67 @@ class TestUsageErrors:
     def test_no_command(self, capsys):
         assert main([]) == 2
         assert "required: command" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process and reuses it; every call
+    must still behave as it would on a freshly built parser."""
+
+    def test_import_builds_no_parser(self):
+        src = os.path.dirname(os.path.dirname(fairslice.__file__))
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import fairslice.cli as cli; "
+             "print(cli.build_parser.cache_info().currsize)"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert probe.stdout == "0\n"
+
+    def test_repeated_calls_build_it_once(self, fx, capsys):
+        build_parser.cache_clear()
+        for _ in range(3):
+            assert main(["allocate", "--mechanism", "cake2",
+                         "--instance", fx["uneven"]]) == 0
+        assert main(["verify", "--mechanism", "cake2"]) == 2
+        capsys.readouterr()
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    @staticmethod
+    def _outcome(capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "sequence, codes, grids",
+        [
+            # a usage error, then a valid call
+            ([["verify", "--mechanism", "cake2"],
+              ["verify", "--mechanism", "cake2", "--instance", "{uneven}",
+               "--format", "machine"]],
+             [2, 1], [None, None]),
+            # --grid defaults to 4 for enumerate and to 8 for deviate
+            ([["enumerate", "--mechanism", "prefix-cake", "--format", "machine"],
+              ["deviate", "--mechanism", "cake2", "--instance", "{uneven}",
+               "--format", "machine"]],
+             [0, 0], ['"grid": 4', '"grid": 8']),
+        ],
+        ids=["usage-error-then-valid", "deviate-after-enumerate"],
+    )
+    def test_sequence_matches_fresh_parser(
+        self, fx, capsys, sequence, codes, grids
+    ):
+        argvs = [[arg.format(**fx) for arg in argv] for argv in sequence]
+        fresh = []
+        for argv in argvs:
+            build_parser.cache_clear()
+            fresh.append(self._outcome(capsys, argv))
+        build_parser.cache_clear()
+        reused = [self._outcome(capsys, argv) for argv in argvs]
+        assert build_parser.cache_info().misses == 1
+        assert reused == fresh
+        assert [code for code, _, _ in fresh] == codes
+        for (_, out, _), grid in zip(fresh, grids):
+            assert grid is None or grid in out
