@@ -44,6 +44,7 @@ from .properties import (
     check_proportional,
     indicator_vector,
     search_deviations,
+    verify_reports,
 )
 from .serialize import parse_instance
 
@@ -91,4 +92,5 @@ __all__ = [
     "prefix_endpoint",
     "search_deviations",
     "simulate_eating",
+    "verify_reports",
 ]

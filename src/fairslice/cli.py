@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import sys
 
 from .errors import FairsliceError
@@ -24,14 +23,7 @@ from .corpus import reproduce_records
 from .eating import simulate_eating
 from .mechanisms import MECHANISMS, get_mechanism
 from .model import Instance
-from .properties import (
-    allocation_reports,
-    check_anonymity,
-    check_crossing_vs_eating,
-    check_position_oblivious,
-    search_deviations,
-    value_matrix,
-)
+from .properties import search_deviations, verify_reports
 from .rationals import echo, format_intervals, format_rational
 from .serialize import (
     allocation_document,
@@ -41,8 +33,6 @@ from .serialize import (
     to_jsonable,
 )
 from .sweeps import sweep_prefix_grid
-
-_ANONYMITY_AGENT_CAP = 4
 
 
 @functools.lru_cache(maxsize=1)
@@ -193,28 +183,11 @@ def _cmd_allocate(config: argparse.Namespace, out) -> int:
 def _cmd_verify(config: argparse.Namespace, out) -> int:
     mechanism = get_mechanism(config.mechanism)
     instance = _load_instance(config.instance)
-    machine = config.format == "machine"
-    # the one run of this instance; every check below reads its values
-    allocation = mechanism.run(instance)
-    matrix = value_matrix(instance, allocation)
-    values = tuple(matrix[i][i] for i in range(instance.n))
-    reports = allocation_reports(instance, allocation, lambda i, j: matrix[i][j])
-    if instance.n <= _ANONYMITY_AGENT_CAP:
-        for sigma in itertools.permutations(range(instance.n)):
-            if sigma != tuple(range(instance.n)):
-                reports.append(check_anonymity(mechanism, instance, sigma, values))
-    # the mechanism's own route is the run above; only the other one runs
-    if mechanism.name == "cake2":
-        reports.extend(check_crossing_vs_eating(instance, crossing=allocation))
-    elif mechanism.name == "cake2-eating":
-        reports.extend(check_crossing_vs_eating(instance, eating=allocation))
-    if config.instance_b:
-        reports.append(
-            check_position_oblivious(
-                mechanism, instance, _load_instance(config.instance_b), values
-            )
-        )
-    _emit_reports(reports, machine, out)
+    instance_b = None
+    if config.instance_b is not None:
+        instance_b = _load_instance(config.instance_b)
+    reports = verify_reports(mechanism, instance, instance_b)
+    _emit_reports(reports, config.format == "machine", out)
     return 0 if all(r.holds for r in reports) else 1
 
 
@@ -313,10 +286,7 @@ def run_cli(config: argparse.Namespace, out=None) -> int:
     out = out or sys.stdout
     try:
         return _COMMANDS[config.command](config, out)
-    except FairsliceError as exc:
-        print(f"fairslice: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FairsliceError, OSError) as exc:
         print(f"fairslice: error: {exc}", file=sys.stderr)
         return 2
 

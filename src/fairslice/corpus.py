@@ -9,22 +9,22 @@ instance is a resource kind followed by one set per agent. The expected
 value is the JSON form of the step's result (to_jsonable: "p/q" strings,
 canonical interval lists), so JSON equality is exact equality. A step
 whose result is an object is compared on the fields its expectation
-names only.
+names only, and so is every object nested in it.
 
 Step kinds (see _STEPS):
   value      desired set, piece         -> the piece's value
   crossing   set, set                   -> crossing_point of the two
   run        mechanism, instance        -> {pieces, values}
-  check      checker, mechanism, instance -> {verdict, witness fields}
+  verify     mechanism, instance[, instance_b] -> {property: {verdict,
+             witness fields}}: the first report of each property in the
+             battery that `fairslice verify` prints
+             (properties.verify_reports)
   misreport  mechanism, instance, agent, report -> {piece, value}: what the
              agent gets for the report, valued truthfully
   search     mechanism, instance, agent, grid, family -> {verdict, witness}
-  anonymity  mechanism, instance, sigma -> {verdict, witness fields}
-  position   mechanism, instance, instance -> {verdict, witness fields}
   indicator  instance                   -> [[subset, length], ...]
   eat        instance                   -> {pieces, meeting_point,
                                             first_event}
-  crossing-vs-eating  instance          -> {property: verdict}
 
 Nothing is parsed at import. `reproduce_records` replays every case; any
 mismatch is a regression.
@@ -38,15 +38,9 @@ from .mechanisms import crossing_point, get_mechanism
 from .model import Instance, Resource, Valuation
 from .properties import (
     PropertyReport,
-    check_anonymity,
-    check_crossing_vs_eating,
-    check_envy_free,
-    check_full_and_connected,
-    check_pareto,
-    check_position_oblivious,
-    check_proportional,
     indicator_vector,
     search_deviations,
+    verify_reports,
 )
 from .rationals import parse_rational
 from .serialize import to_jsonable
@@ -61,6 +55,9 @@ _CAKE_GAP = ["cake", [[0, "1/5"]], [["9/10", 1]]]
 _CAKE_CUTTER = ["cake", [[0, 1]], [[0, "1/4"]]]
 _PREFIX_CAKE = ["cake", [[0, 1]], [[0, "1/2"]], [[0, "9/10"]]]
 _PREFIX_CHORE = ["chore", [[0, "3/5"]], [[0, "3/10"]], [[0, "9/10"]]]
+# both two-agent cake routes give the same values and the same pieces
+_AGREE = {"crossing-vs-eating-values": {"verdict": "holds"},
+          "crossing-vs-eating-pieces": {"verdict": "holds"}}
 
 # One row per case: (name, steps). Laid out by hand as a table, one step
 # to a line or a few.
@@ -145,19 +142,18 @@ CASES: tuple[tuple[str, list[tuple]], ...] = (
     ("connected-baseline-split", [
         ("run", "connected-baseline", _CAKE_HALF_HALF,
          {"pieces": [[["1/4", "1/2"]], [["0/1", "1/4"]]]}),
-        ("check", "envy-free", "connected-baseline", _CAKE_HALF_HALF,
-         {"verdict": "holds"}),
-        ("check", "full-and-connected", "connected-baseline", _CAKE_HALF_HALF,
-         {"connected": "holds", "full": "violated"}),
+        ("verify", "connected-baseline", _CAKE_HALF_HALF,
+         {"envy-free": {"verdict": "holds"},
+          "full-and-connected": {"connected": "holds", "full": "violated"}}),
     ]),
     ("pareto-on-crossing-outputs", [
-        ("check", "pareto", "cake2", _CAKE_HALF_WHOLE, {"verdict": "holds"}),
-        ("check", "pareto", "cake2", _CAKE_WHOLE_HALF, {"verdict": "holds"}),
-        ("check", "pareto", "cake2", _CAKE_UPPER_WHOLE, {"verdict": "holds"}),
+        ("verify", "cake2", _CAKE_HALF_WHOLE, {"pareto": {"verdict": "holds"}}),
+        ("verify", "cake2", _CAKE_WHOLE_HALF, {"pareto": {"verdict": "holds"}}),
+        ("verify", "cake2", _CAKE_UPPER_WHOLE, {"pareto": {"verdict": "holds"}}),
     ]),
     ("coverage-flags", [
-        ("check", "full-and-connected", "cake2", _CAKE_WHOLE_HALF,
-         {"full": "holds", "connected": "violated"}),
+        ("verify", "cake2", _CAKE_WHOLE_HALF,
+         {"full-and-connected": {"full": "holds", "connected": "violated"}}),
     ]),
     ("indicator-match", [
         ("indicator", _CAKE_HALF_WHOLE,
@@ -166,13 +162,14 @@ CASES: tuple[tuple[str, list[tuple]], ...] = (
          [[[], "0/1"], [[0], "0/1"], [[1], "1/2"], [[0, 1], "1/2"]]),
     ]),
     ("anonymity-violation", [
-        ("anonymity", "cake2", _CAKE_HALF_WHOLE, [1, 0],
-         {"verdict": "violated", "original_value": "1/2", "permuted_value": "1/4"}),
+        ("verify", "cake2", _CAKE_HALF_WHOLE,
+         {"anonymity": {"verdict": "violated", "sigma": [1, 0],
+                        "original_value": "1/2", "permuted_value": "1/4"}}),
     ]),
     ("position-sensitivity", [
-        ("position", "cake2", _CAKE_HALF_WHOLE, _CAKE_UPPER_WHOLE,
-         {"verdict": "violated",
-          "values_a": ["1/2", "1/2"], "values_b": ["1/4", "3/4"]}),
+        ("verify", "cake2", _CAKE_HALF_WHOLE, _CAKE_UPPER_WHOLE,
+         {"position-oblivious": {"verdict": "violated", "values_a": ["1/2", "1/2"],
+                                 "values_b": ["1/4", "3/4"]}}),
     ]),
     # the half-cake lie must be profitable on replay, whatever the search
     # ranks best
@@ -193,29 +190,28 @@ CASES: tuple[tuple[str, list[tuple]], ...] = (
           "first_event": ["0/1", 1, "jump", "1/2"]}),
         ("run", "cake2-eating", _CAKE_WHOLE_HALF,
          {"pieces": [[["0/1", "1/4"], ["1/2", "1/1"]], [["1/4", "1/2"]]]}),
-        ("crossing-vs-eating", _CAKE_WHOLE_HALF,
-         {"crossing-vs-eating-values": "holds", "crossing-vs-eating-pieces": "holds"}),
+        ("verify", "cake2-eating", _CAKE_WHOLE_HALF, _AGREE),
     ]),
     ("eating-walk", [
         ("eat", _CAKE_GAP,
          {"pieces": [[["0/1", "9/10"]], [["9/10", "1/1"]]], "meeting_point": "9/10"}),
-        ("crossing-vs-eating", _CAKE_GAP,
-         {"crossing-vs-eating-values": "holds", "crossing-vs-eating-pieces": "holds"}),
+        ("verify", "cake2", _CAKE_GAP, _AGREE),
     ]),
     ("eating-symmetric", [
         ("eat", _CAKE_WHOLE_WHOLE,
          {"pieces": [[["0/1", "1/2"]], [["1/2", "1/1"]]], "meeting_point": "1/2"}),
-        ("crossing-vs-eating", _CAKE_WHOLE_WHOLE,
-         {"crossing-vs-eating-values": "holds", "crossing-vs-eating-pieces": "holds"}),
+        ("verify", "cake2-eating", _CAKE_WHOLE_WHOLE, _AGREE),
     ]),
     ("proportionality-thresholds", [
-        ("check", "proportional", "prefix-chore", _PREFIX_CHORE, {"verdict": "holds"}),
-        ("check", "proportional", "prefix-cake", _PREFIX_CAKE, {"verdict": "holds"}),
+        ("verify", "prefix-chore", _PREFIX_CHORE,
+         {"proportional": {"verdict": "holds"}}),
+        ("verify", "prefix-cake", _PREFIX_CAKE,
+         {"proportional": {"verdict": "holds"}}),
     ]),
     ("prefix-chore-envy-witness", [
-        ("check", "envy-free", "prefix-chore", _PREFIX_CHORE,
-         {"verdict": "violated", "agent": "a1", "other": "a3",
-          "own_value": "1/5", "other_value": "0/1"}),
+        ("verify", "prefix-chore", _PREFIX_CHORE,
+         {"envy-free": {"verdict": "violated", "agent": "a1", "other": "a3",
+                        "own_value": "1/5", "other_value": "0/1"}}),
     ]),
 )
 # fmt: on
@@ -242,10 +238,11 @@ def _run(mechanism: str, spec) -> dict:
     return {"pieces": allocation.pieces, "values": allocation.values(instance)}
 
 
-def _check(checker: str, mechanism: str, spec) -> dict:
-    instance = _instance(spec)
-    allocation = get_mechanism(mechanism).run(instance)
-    return _report(_CHECKERS[checker](instance, allocation))
+def _verify(mechanism: str, *specs) -> dict:
+    first: dict = {}
+    for report in verify_reports(get_mechanism(mechanism), *map(_instance, specs)):
+        first.setdefault(report.property, _report(report))
+    return first
 
 
 def _misreport(mechanism: str, spec, agent: int, report) -> dict:
@@ -258,18 +255,6 @@ def _misreport(mechanism: str, spec, agent: int, report) -> dict:
 def _search(mechanism: str, spec, agent: int, grid: int, family: str) -> dict:
     mech = get_mechanism(mechanism)
     return _report(search_deviations(mech, _instance(spec), agent, grid, family))
-
-
-def _anonymity(mechanism: str, spec, sigma) -> dict:
-    return _report(check_anonymity(get_mechanism(mechanism), _instance(spec), sigma))
-
-
-def _position(mechanism: str, spec_a, spec_b) -> dict:
-    return _report(
-        check_position_oblivious(
-            get_mechanism(mechanism), _instance(spec_a), _instance(spec_b)
-        )
-    )
 
 
 def _indicator(spec) -> list:
@@ -287,40 +272,30 @@ def _eat(spec) -> dict:
     }
 
 
-def _crossing_vs_eating(spec) -> dict:
-    return {r.property: r.verdict for r in check_crossing_vs_eating(_instance(spec))}
-
-
-_CHECKERS = {
-    "envy-free": check_envy_free,
-    "proportional": check_proportional,
-    "pareto": check_pareto,
-    "full-and-connected": lambda _, allocation: check_full_and_connected(allocation),
-}
-
 _STEPS = {
     "value": lambda desired, piece: Valuation(_set(desired)).value(_set(piece)),
     "crossing": lambda w1, w2: crossing_point(_set(w1), _set(w2)),
     "run": _run,
-    "check": _check,
+    "verify": _verify,
     "misreport": _misreport,
     "search": _search,
-    "anonymity": _anonymity,
-    "position": _position,
     "indicator": _indicator,
     "eat": _eat,
-    "crossing-vs-eating": _crossing_vs_eating,
 }
 
 
-def _replay(kind: str, *inputs_and_expected):
-    """One step's result in JSON form, limited to the expected fields when
-    the result is an object."""
-    *inputs, expected = inputs_and_expected
-    result = to_jsonable(_STEPS[kind](*inputs))
-    if isinstance(result, dict):
-        return {key: result.get(key) for key in expected}
+def _restrict(result, expected):
+    """`result` limited to the fields `expected` names, at every level
+    where both are objects."""
+    if isinstance(result, dict) and isinstance(expected, dict):
+        return {key: _restrict(result.get(key), expected[key]) for key in expected}
     return result
+
+
+def _replay(kind: str, *inputs_and_expected):
+    """One step's result in JSON form, limited to the expected fields."""
+    *inputs, expected = inputs_and_expected
+    return _restrict(to_jsonable(_STEPS[kind](*inputs)), expected)
 
 
 def reproduce_records() -> list[dict]:

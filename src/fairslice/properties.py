@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -32,6 +32,7 @@ from .mechanisms import MechanismInfo, allocate_cake2
 from .model import Allocation, Instance, Resource, Valuation
 
 _INDICATOR_AGENT_CAP = 16
+_ANONYMITY_AGENT_CAP = 4
 SUBSET_GRID_CAP = 14
 # the prefix family may reach D = 2^14, the subset family's candidate count
 PREFIX_GRID_CAP = 1 << SUBSET_GRID_CAP
@@ -356,24 +357,16 @@ def check_position_oblivious(
 
 
 def check_crossing_vs_eating(
-    instance: Instance,
-    crossing: Allocation | None = None,
-    eating: Allocation | None = None,
+    instance: Instance, crossing: Allocation, eating: Allocation
 ) -> tuple[PropertyReport, PropertyReport]:
-    """Compare the two independent formulations of the two-agent cake split.
+    """Compare the two independent formulations of the two-agent cake split,
+    given the crossing form's allocation and the eating race's.
 
     The crossing form and the eating race provably give each agent the
     same value; the physical pieces can legitimately differ (only in cake
     neither agent wants) when the last active eater leaps holes, and any
     such difference is reported as a finding rather than masked.
-
-    A caller that already ran one route on this instance may pass its
-    allocation as `crossing` or `eating`; a route not passed runs here.
     """
-    if crossing is None:
-        crossing = allocate_cake2(instance)
-    if eating is None:
-        eating, _ = simulate_eating(instance)
     values_crossing = crossing.values(instance)
     values_eating = eating.values(instance)
     value_witness: dict = {
@@ -407,6 +400,40 @@ def check_crossing_vs_eating(
             },
         )
     return values_report, pieces_report
+
+
+def verify_reports(
+    mechanism: MechanismInfo,
+    instance: Instance,
+    instance_b: Instance | None = None,
+) -> list[PropertyReport]:
+    """Every applicable property check of one mechanism on one instance, in
+    report order: the allocation checks, anonymity under each reordering of
+    up to four agents, crossing-vs-eating for the two-agent cake split, and
+    position-obliviousness against `instance_b` when one is given.
+
+    The instance runs once, and every check reads that run's values; the
+    crossing-vs-eating check runs only the route the mechanism is not.
+    """
+    allocation = mechanism.run(instance)
+    matrix = value_matrix(instance, allocation)
+    values = tuple(matrix[i][i] for i in range(instance.n))
+    reports = allocation_reports(instance, allocation, lambda i, j: matrix[i][j])
+    if instance.n <= _ANONYMITY_AGENT_CAP:
+        for sigma in permutations(range(instance.n)):
+            if sigma != tuple(range(instance.n)):
+                reports.append(check_anonymity(mechanism, instance, sigma, values))
+    if mechanism.name == "cake2":
+        eating, _ = simulate_eating(instance)
+        reports.extend(check_crossing_vs_eating(instance, allocation, eating))
+    elif mechanism.name == "cake2-eating":
+        crossing = allocate_cake2(instance)
+        reports.extend(check_crossing_vs_eating(instance, crossing, allocation))
+    if instance_b is not None:
+        reports.append(
+            check_position_oblivious(mechanism, instance, instance_b, values)
+        )
+    return reports
 
 
 # -- truthfulness -----------------------------------------------------------

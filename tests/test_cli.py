@@ -262,6 +262,36 @@ class TestVerify:
             "allocate_cake2": crossing_runs, "simulate_eating": eating_runs
         }
 
+    @pytest.mark.parametrize("content", [None, "{not json"])
+    def test_bad_paired_file_fails_before_any_run(
+        self, fx, capsys, monkeypatch, content
+    ):
+        original = get_mechanism("cake2")
+        seen = []
+
+        def counting(instance):
+            seen.append(instance)
+            return original.run(instance)
+
+        monkeypatch.setitem(
+            mechanisms.MECHANISMS, "cake2", dataclasses.replace(original, run=counting)
+        )
+        path = fx["dir"] / "paired.json"
+        if content is not None:
+            path.write_text(content)
+        code = main(["verify", "--mechanism", "cake2", "--instance", fx["uneven"],
+                     "--instance-b", str(path)])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+        assert seen == []
+
+    def test_empty_paired_path_is_a_missing_file(self, fx, capsys):
+        expected = "fairslice: error: [Errno 2] No such file or directory: ''\n"
+        for args in (["--instance", ""],
+                     ["--instance", fx["uneven"], "--instance-b", ""]):
+            assert main(["verify", "--mechanism", "cake2", *args]) == 2
+            assert capsys.readouterr() == ("", expected)
+
     def test_wrong_agent_count(self, fx, capsys):
         code = main(["verify", "--mechanism", "cake2", "--instance", fx["three"]])
         assert code == 2
@@ -338,6 +368,46 @@ GOLDEN_TWO_AGENT = [
      "7f409d9128f049c5b7b34c10eaa2e2f9eb08669a465cac1517453e1936e73665"),
 ]
 
+# The SHA-256 of `verify --format machine` stdout for the mechanisms and the
+# position check that the digests above leave out, printed while the CLI
+# still coded the battery itself. Each second instance desires the same
+# length per agent subset as the first; a prefix pair has no other
+# arrangement, so connected-baseline is paired with itself.
+HOLES_SHIFTED = {
+    "resource": "cake",
+    "agents": [
+        {"id": "a1", "intervals": [["1/4", "5/8"]]},
+        {"id": "a2", "intervals": [["0", "1/4"]]},
+    ],
+}
+FRAGMENTED_CHORE = {**FRAGMENTED, "resource": "chore"}
+FRAGMENTED_CHORE_BLOCKS = {
+    "resource": "chore",
+    "agents": [
+        {"id": "a1", "intervals": [["0", "11/16"]]},
+        {"id": "a2", "intervals": [["0", "5/24"], ["11/16", "19/24"]]},
+    ],
+}
+PREFIX_PAIR = {
+    "resource": "cake",
+    "agents": [
+        {"id": "a1", "intervals": [["0", "1/2"]]},
+        {"id": "a2", "intervals": [["0", "1/4"]]},
+    ],
+}
+GOLDEN_BATTERY = [
+    ("chore2", FRAGMENTED_CHORE, None,
+     "4584213593c1464d14f662eb01642deb5d498497004084cebf52111417ac77c8"),
+    ("chore2", FRAGMENTED_CHORE, FRAGMENTED_CHORE_BLOCKS,
+     "2283df2e1f5ca4e12958c8d4f581706af5ce4dcc19ccf1dcbfd84f5b7160abb5"),
+    ("connected-baseline", PREFIX_PAIR, None,
+     "47c0eb246af190123faaac39e5b76e5b205b4d678ccc1065e54f7b89c483be09"),
+    ("connected-baseline", PREFIX_PAIR, PREFIX_PAIR,
+     "6e6124b7dd1325919a15fe51050d2e24e40e000acd290e0cc68e2d95c463c023"),
+    ("cake2", HOLES, HOLES_SHIFTED,
+     "17170673dda0e7243be20634bce8202049d8600a07d396b245915cebf3413875"),
+]
+
 
 class TestGoldenBytes:
     @pytest.mark.parametrize("name, claims, verify_digest, allocate_digest",
@@ -376,6 +446,20 @@ class TestGoldenBytes:
         pieces = json.loads(out.splitlines()[-1])
         assert pieces["property"] == "crossing-vs-eating-pieces"
         assert pieces["verdict"] == pieces_verdict
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out[:400]
+
+    @pytest.mark.parametrize("name, document, document_b, digest",
+                             GOLDEN_BATTERY)
+    def test_battery_frozen(self, fx, capsys, name, document, document_b, digest):
+        args = ["verify", "--mechanism", name, "--format", "machine"]
+        for option, doc in (("--instance", document), ("--instance-b", document_b)):
+            if doc is not None:
+                path = fx["dir"] / f"golden{option}.json"
+                path.write_text(json.dumps(doc))
+                args += [option, str(path)]
+        # every one of these breaks connectedness or full coverage
+        assert main(args) == 1
+        out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, out[:400]
 
     @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import sys
 from fairslice import corpus, properties
 from fairslice.cli import main
 from fairslice.mechanisms import MECHANISMS
+from fairslice.serialize import instance_document
 
 
 def _with_expectation(name, step_index, expected):
@@ -21,7 +22,7 @@ def _with_expectation(name, step_index, expected):
 
 
 def test_one_wrong_expectation_is_one_diff(monkeypatch, capsys):
-    wrong = {"full": "violated", "connected": "violated"}
+    wrong = {"full-and-connected": {"full": "violated", "connected": "violated"}}
     monkeypatch.setattr(
         corpus, "CASES", _with_expectation("coverage-flags", 0, wrong)
     )
@@ -33,7 +34,9 @@ def test_one_wrong_expectation_is_one_diff(monkeypatch, capsys):
             "case": "coverage-flags",
             "status": "diff",
             "expected": [wrong],
-            "actual": [{"full": "holds", "connected": "violated"}],
+            "actual": [
+                {"full-and-connected": {"full": "holds", "connected": "violated"}}
+            ],
         }
     ]
     assert records[-1] == {"summary": {"cases": 27, "diffs": 1}}
@@ -42,6 +45,28 @@ def test_one_wrong_expectation_is_one_diff(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "coverage-flags: diff" in lines
     assert lines[-1] == "27 cases, 1 diffs"
+
+
+def test_verify_steps_freeze_the_cli_output(tmp_path, capsys):
+    steps = [step for _, steps in corpus.CASES for step in steps
+             if step[0] == "verify"]
+    assert steps
+    for index, (_, mechanism, *specs, expected) in enumerate(steps):
+        args = ["verify", "--mechanism", mechanism, "--format", "machine"]
+        for option, spec in zip(("--instance", "--instance-b"), specs):
+            path = tmp_path / f"{index}{option}.json"
+            path.write_text(json.dumps(instance_document(corpus._instance(spec))))
+            args += [option, str(path)]
+        assert main(args) in (0, 1)
+        first = {}
+        for line in capsys.readouterr().out.splitlines():
+            doc = json.loads(line)
+            first.setdefault(
+                doc["property"], {"verdict": doc["verdict"], **(doc["witness"] or {})}
+            )
+        for name, fields in expected.items():
+            shown = {key: first[name].get(key) for key in fields}
+            assert shown == fields, (index, mechanism, name)
 
 
 def test_every_mechanism_appears_in_a_step():
