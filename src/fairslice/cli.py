@@ -233,7 +233,7 @@ def _cmd_reproduce(config: argparse.Namespace, out) -> int:
 
 def _cmd_enumerate(config: argparse.Namespace, out) -> int:
     mechanism = get_mechanism(config.mechanism)
-    if not mechanism.prefix_only and mechanism.n_agents not in (None, config.n):
+    if mechanism.n_agents not in (None, config.n):
         raise FairsliceError(
             f"{mechanism.name} serves {mechanism.n_agents} agents, not {config.n}"
         )
@@ -303,8 +303,6 @@ def main(argv=None) -> int:
     if namespace.command == "enumerate" and namespace.n < 1:
         print("fairslice: error: --n must be at least 1", file=sys.stderr)
         return 2
-    if hasattr(namespace, "workers"):
-        namespace.workers = max(1, namespace.workers)
     return run_cli(namespace)
 
 

@@ -16,7 +16,9 @@ Tie and edge rules (all of which matter for exactness):
     agent 1 is left holding the whole interval.
 
 This is a second, independently coded formulation of the crossing-form
-mechanism in fairslice.mechanisms: agents always end up with identical
+mechanism in fairslice.mechanisms. The race shares no code with it; only
+the final split walks the atoms of the eaten runs and the meeting point,
+as the crossing form walks its own. Agents always end up with identical
 values under both, and the verification harness checks that. The physical
 pieces can differ (only in cake worthless to both) when the last active
 agent leaps over holes; the harness reports any such divergence.
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionUnmetError
-from .intervals import FULL, ONE, ZERO, IntervalSet
+from .intervals import ONE, ZERO, IntervalSet, atoms, glued
 from .model import Allocation, Instance, Resource
 
 
@@ -201,13 +203,25 @@ def simulate_eating(instance: Instance) -> tuple[Allocation, EatingTrace]:
         )
     sim = _Sim(instance.desired(0), instance.desired(1))
     sim.run()
-    eaten1 = IntervalSet.from_endpoints(sim.eaten[0])
-    eaten2 = IntervalSet.from_endpoints(sim.eaten[1])
-    unclaimed = FULL.difference(eaten1.union(eaten2))
-    to_a2 = unclaimed.intersection(IntervalSet.prefix(sim.meeting))
-    to_a1 = unclaimed.difference(to_a2)
-    allocation = Allocation((eaten1.union(to_a1), eaten2.union(to_a2)))
-    trace = EatingTrace(tuple(sim.events), sim.meeting, (to_a1, to_a2))
+    eaten = [IntervalSet.from_endpoints(runs) for runs in sim.eaten]
+    pieces: tuple[list, list] = ([], [])
+    leftovers: tuple[list, list] = ([], [])
+    for left, right, (ate1, ate2, before) in atoms(
+        (*eaten, IntervalSet.prefix(sim.meeting))
+    ):
+        if ate1:
+            pieces[0].append((left, right))
+        if ate2:
+            pieces[1].append((left, right))
+        if not (ate1 or ate2):
+            owner = 1 if before else 0
+            pieces[owner].append((left, right))
+            leftovers[owner].append((left, right))
+    # an atom both ate lands in both pieces, and Allocation rejects it
+    allocation = Allocation((glued(pieces[0]), glued(pieces[1])))
+    trace = EatingTrace(
+        tuple(sim.events), sim.meeting, (glued(leftovers[0]), glued(leftovers[1]))
+    )
     return allocation, trace
 
 

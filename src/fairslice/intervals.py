@@ -149,13 +149,13 @@ class IntervalSet:
     # -- algebra -----------------------------------------------------------
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return _combine(self, other, lambda p, q: p or q)
+        return glued((l, r) for l, r, (p, q) in atoms((self, other)) if p or q)
 
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
-        return _combine(self, other, lambda p, q: p and q)
+        return glued((l, r) for l, r, (p, q) in atoms((self, other)) if p and q)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
-        return _combine(self, other, lambda p, q: p and not q)
+        return glued((l, r) for l, r, (p, q) in atoms((self, other)) if p and not q)
 
 
 def atoms(
@@ -186,50 +186,16 @@ def atoms(
         left = right
 
 
-def _flat(s: IntervalSet) -> list[Fraction]:
-    out: list[Fraction] = []
-    for left, right in s.intervals:
-        out.append(left)
-        out.append(right)
-    return out
-
-
-def _combine(a: IntervalSet, b: IntervalSet, keep) -> IntervalSet:
-    """Boundary-walk set operation.
-
-    Merge the two sorted endpoint lists; each endpoint flips membership in
-    its operand, so between consecutive distinct endpoints membership is
-    constant. A kept run opens where the predicate turns true and closes
-    where it turns false, which glues adjacent kept atoms.
-    """
-    pa = _flat(a)
-    pb = _flat(b)
-    na, nb = len(pa), len(pb)
+def glued(spans: Iterable[tuple[Fraction, Fraction]]) -> IntervalSet:
+    """The set of nondegenerate spans given in ascending order, with each
+    span that starts where the previous one ends joined on. Spans that
+    overlap stay apart, so IntervalSet rejects them."""
     out: list[tuple[Fraction, Fraction]] = []
-    ia = ib = 0
-    in_a = in_b = kept = False
-    start = ZERO
-    while ia < na or ib < nb:
-        if ib == nb or (ia < na and pa[ia] < pb[ib]):
-            x = pa[ia]
-            ia += 1
-            in_a = not in_a
-        elif ia == na or pb[ib] < pa[ia]:
-            x = pb[ib]
-            ib += 1
-            in_b = not in_b
+    for left, right in spans:
+        if out and out[-1][1] == left:
+            out[-1] = (out[-1][0], right)
         else:
-            x = pa[ia]
-            ia += 1
-            ib += 1
-            in_a = not in_a
-            in_b = not in_b
-        now = keep(in_a, in_b)
-        if now and not kept:
-            start = x
-        elif kept and not now:
-            out.append((start, x))
-        kept = now
+            out.append((left, right))
     return IntervalSet(tuple(out))
 
 

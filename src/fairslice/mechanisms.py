@@ -15,7 +15,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Callable
 
 from .eating import allocate_cake2_eating
@@ -24,7 +23,7 @@ from .errors import (
     PreconditionUnmetError,
     SearchSpaceTooLargeError,
 )
-from .intervals import FULL, ONE, ZERO, IntervalSet, atoms
+from .intervals import ONE, ZERO, IntervalSet, atoms, glued
 from .model import Allocation, Instance, Resource
 from .rationals import format_intervals
 
@@ -90,9 +89,11 @@ def _require(
 
 def _cake2_pieces(w1: IntervalSet, w2: IntervalSet) -> tuple[IntervalSet, IntervalSet]:
     x = crossing_point(w1, w2)
-    left, right = IntervalSet.prefix(x), IntervalSet.segment(x, ONE)
-    a1 = w1.intersection(left).union(right.difference(w2))
-    return a1, FULL.difference(a1)
+    a1: list[tuple[Fraction, Fraction]] = []
+    a2: list[tuple[Fraction, Fraction]] = []
+    for left, right, (in1, in2, before_x) in atoms((w1, w2, IntervalSet.prefix(x))):
+        (a1 if (in1 if before_x else not in2) else a2).append((left, right))
+    return glued(a1), glued(a2)
 
 
 def allocate_cake2(instance: Instance) -> Allocation:
@@ -176,16 +177,11 @@ def allocate_prefix_cake(instance: Instance) -> Allocation:
             segments[j].append((o, end))
             o = end
         active.remove(exiting)
-    # every slice has positive width and a claimant's slices are separated
-    # by the others', so each list is already canonical save for the rest
-    # [o, 1], which touches the survivor's last slice if she was last in
-    # the final round
-    survivor = segments[active[0]]
-    if survivor and survivor[-1][1] == o:
-        survivor[-1] = (survivor[-1][0], ONE)
-    elif o < ONE:
-        survivor.append((o, ONE))
-    return Allocation(tuple(IntervalSet(tuple(segs)) for segs in segments))
+    # slices are handed out left to right, so each list is ascending, and
+    # stays so with the rest [o, 1] appended to the survivor's
+    if o < ONE:
+        segments[active[0]].append((o, ONE))
+    return Allocation(tuple(glued(segs) for segs in segments))
 
 
 def allocate_prefix_chore(instance: Instance) -> Allocation:
@@ -237,21 +233,7 @@ def allocate_prefix_chore(instance: Instance) -> Allocation:
                 segments[receiver].append((a, b))
     if lo < hi:
         segments[n - 1].append((lo, hi))
-    return Allocation(tuple(_touching_merged(segs) for segs in segments))
-
-
-def _touching_merged(segments: list[tuple[Fraction, Fraction]]) -> IntervalSet:
-    """The set of nondegenerate slices that never overlap: sorted by left
-    end, with each slice that starts where the previous one ends glued on.
-    Slices that did overlap stay apart, so IntervalSet rejects them."""
-    segments.sort(key=itemgetter(0))
-    merged: list[tuple[Fraction, Fraction]] = []
-    for left, right in segments:
-        if merged and merged[-1][1] == left:
-            merged[-1] = (merged[-1][0], right)
-        else:
-            merged.append((left, right))
-    return IntervalSet(tuple(merged))
+    return Allocation(tuple(glued(sorted(segs)) for segs in segments))
 
 
 # -- manipulable / disposal baselines ------------------------------------

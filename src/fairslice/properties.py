@@ -27,7 +27,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .eating import simulate_eating
-from .intervals import ZERO, IntervalSet, atoms
+from .intervals import ZERO, IntervalSet, atoms, glued
 from .mechanisms import MechanismInfo, allocate_cake2
 from .model import Allocation, Instance, Resource, Valuation
 
@@ -227,7 +227,7 @@ def check_full_and_connected(allocation: Allocation) -> PropertyReport:
     # Allocation already proved that pieces without free disposal cover [0, 1]
     missing = IntervalSet()
     if allocation.free_disposal:
-        missing = IntervalSet.from_endpoints(
+        missing = glued(
             (left, right)
             for left, right, inside in atoms(allocation.pieces)
             if not any(inside)

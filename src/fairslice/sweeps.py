@@ -164,13 +164,14 @@ def sweep_prefix_grid(
 
 # -- randomized instances -----------------------------------------------
 
+RANDOM_MAX_DENOMINATOR = 12
+RANDOM_MAX_INTERVALS = 3
 
-def random_interval_set(
-    rng: Random, max_denominator: int = 12, max_intervals: int = 3
-) -> IntervalSet:
+
+def random_interval_set(rng: Random) -> IntervalSet:
     """A random canonical set with endpoints on a random rational grid."""
-    denominator = rng.randint(1, max_denominator)
-    count = rng.randint(0, min(max_intervals, (denominator + 1) // 2))
+    denominator = rng.randint(1, RANDOM_MAX_DENOMINATOR)
+    count = rng.randint(0, min(RANDOM_MAX_INTERVALS, (denominator + 1) // 2))
     points = sorted(rng.sample(range(denominator + 1), 2 * count))
     return IntervalSet.from_endpoints(
         [

@@ -11,7 +11,7 @@ import time
 import pytest
 
 import fairslice
-from fairslice import get_mechanism, mechanisms, properties
+from fairslice import get_mechanism, mechanisms, properties, sweeps
 from fairslice.cli import build_parser, main
 
 UNEVEN = {
@@ -980,6 +980,53 @@ class TestUsageErrors:
         code = main(["enumerate", "--mechanism", "prefix-cake", "--n", "0"])
         assert code == 2
         assert "--n must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name", [m.name for m in mechanisms.MECHANISMS.values() if m.n_agents == 2]
+    )
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_enumerate_refuses_fixed_size_before_any_run(
+        self, capsys, monkeypatch, name, workers
+    ):
+        original = get_mechanism(name)
+        seen = []
+
+        def counting(instance):
+            seen.append(instance)
+            return original.run(instance)
+
+        monkeypatch.setitem(
+            mechanisms.MECHANISMS, name, dataclasses.replace(original, run=counting)
+        )
+        monkeypatch.setattr(
+            sweeps, "ordered_map", lambda *args: pytest.fail("a sweep started")
+        )
+        code = main(["enumerate", "--mechanism", name, "--n", "3", "--grid", "2",
+                     "--workers", workers])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", f"fairslice: error: {name} serves 2 agents, not 3\n"
+        )
+        assert seen == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["deviate", "--mechanism", "cake2", "--family", "subsets", "--grid", "4"],
+            ["enumerate", "--mechanism", "prefix-cake", "--n", "2", "--grid", "3"],
+            ["enumerate", "--mechanism", "cake2", "--n", "3"],
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_non_positive_workers_run_serially(self, fx, capsys, args, fmt):
+        if args[0] == "deviate":
+            args = args + ["--instance", fx["uneven"]]
+        results = []
+        for workers in ("1", "0", "-3"):
+            code = main(args + ["--format", fmt, "--workers", workers])
+            results.append((code, capsys.readouterr()))
+        assert results[0][1].out or results[0][1].err
+        assert results[1:] == [results[0]] * 2
 
     def test_enumerate_has_no_family_option(self, capsys):
         code = main(

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 from hypothesis import given
 
+import oracles
 from fairslice import allocate_cake2, simulate_eating
+from fairslice.eating import _Sim
 from helpers import F, cake, iset, two_agent_instances
 
 HALF = F(1, 2)
@@ -106,6 +108,25 @@ class TestTraceInvariants:
             assert lo >= x
         for lo, hi in trace.leftovers[1].intervals:  # assigned to agent 2
             assert hi <= x
+
+    @given(two_agent_instances())
+    def test_split_matches_set_algebra_oracle(self, inst):
+        """Each agent keeps what she ate; the cake neither ate goes to
+        agent 2 left of the meeting point and to agent 1 right of it."""
+        sim = _Sim(inst.desired(0), inst.desired(1))
+        sim.run()
+        combine = oracles.naive_combine
+        eaten1, eaten2 = (oracles.naive_canonical(runs) for runs in sim.eaten)
+        unclaimed = combine([(F(0), F(1))], combine(eaten1, eaten2, "union"), "difference")
+        to_a2 = combine(unclaimed, [(F(0), sim.meeting)], "intersection")
+        to_a1 = combine(unclaimed, to_a2, "difference")
+        alloc, trace = simulate_eating(inst)
+        assert trace.meeting_point == sim.meeting
+        assert [s.intervals for s in trace.leftovers] == [tuple(to_a1), tuple(to_a2)]
+        assert [p.intervals for p in alloc.pieces] == [
+            tuple(combine(eaten1, to_a1, "union")),
+            tuple(combine(eaten2, to_a2, "union")),
+        ]
 
     @given(two_agent_instances())
     def test_allocation_is_a_full_partition(self, inst):

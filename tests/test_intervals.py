@@ -15,6 +15,7 @@ from fairslice import (
     OutOfRangeError,
     atoms,
 )
+from fairslice.intervals import glued
 from helpers import F, iset, rationals, raw_interval_lists
 
 HALF = F(1, 2)
@@ -172,3 +173,28 @@ class TestAtoms:
         for left, right, inside in walked:
             mid = (left + right) / 2
             assert inside == tuple(oracles.contains(s.intervals, mid) for s in sets)
+
+
+class TestGlued:
+    def test_touching_spans_join(self):
+        spans = [(F(0), F(1, 4)), (F(1, 4), HALF), (HALF, F(3, 4))]
+        assert glued(spans) == iset((0, F(3, 4)))
+
+    def test_gaps_are_kept(self):
+        spans = [(F(0), F(1, 4)), (HALF, F(3, 4)), (F(3, 4), F(1))]
+        assert glued(spans).intervals == ((F(0), F(1, 4)), (HALF, F(1)))
+
+    def test_no_spans_is_empty(self):
+        assert glued([]) == EMPTY
+
+    @pytest.mark.parametrize(
+        "spans",
+        [
+            [(F(0), HALF), (F(1, 4), F(3, 4))],  # overlap
+            [(F(0), HALF), (F(0), HALF)],  # repeat
+            [(HALF, F(1)), (F(0), F(1, 4))],  # descending
+        ],
+    )
+    def test_overlapping_spans_rejected(self, spans):
+        with pytest.raises(MalformedIntervalError):
+            glued(spans)

@@ -43,6 +43,19 @@ def atoms_of(instance, allocation):
     return oracles.atoms(*raws)
 
 
+def crossing_pieces(w1, w2):
+    """(w1 ∩ [0, x]) ∪ ([x, 1] minus w2) and its complement, by the oracles,
+    with x the leftmost balance point."""
+    raw1, raw2 = w1.intervals, w2.intervals
+    x = oracles.leftmost_root(raw1, raw2)
+    first = oracles.naive_combine(
+        oracles.naive_combine(raw1, [(F(0), x)], "intersection"),
+        oracles.naive_combine([(x, F(1))], raw2, "difference"),
+        "union",
+    )
+    return iset(*first), iset(*oracles.naive_combine([(F(0), F(1))], first, "difference"))
+
+
 def owner_of(allocation, lo, hi):
     mid = (lo + hi) / 2
     for index, piece in enumerate(allocation.pieces):
@@ -160,6 +173,11 @@ class TestCrossingCake:
     def test_deterministic(self, inst):
         assert allocate_cake2(inst) == allocate_cake2(inst)
 
+    @given(two_agent_instances())
+    def test_pieces_match_set_algebra_oracle(self, inst):
+        w1, w2 = (v.desired for v in inst.valuations)
+        assert allocate_cake2(inst).pieces == crossing_pieces(w1, w2)
+
 
 class TestChoreSwap:
     def test_frozen_swap(self):
@@ -174,6 +192,12 @@ class TestChoreSwap:
     def test_rejects_cake_instances(self):
         with pytest.raises(PreconditionUnmetError):
             allocate_chore2(cake(iset((0, 1)), iset((0, 1))))
+
+    @given(two_agent_instances(kind=Resource.CHORE))
+    def test_pieces_are_the_swapped_cake_split(self, inst):
+        w1, w2 = (v.desired for v in inst.valuations)
+        kept1, kept2 = crossing_pieces(w1, w2)
+        assert allocate_chore2(inst).pieces == (kept2, kept1)
 
     @given(two_agent_instances(kind=Resource.CHORE))
     def test_no_agent_prefers_the_other_piece(self, inst):
