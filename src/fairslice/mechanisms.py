@@ -15,6 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable
 
 from .eating import allocate_cake2_eating
@@ -205,6 +206,10 @@ def allocate_prefix_chore(instance: Instance) -> Allocation:
     # sorted once per run: her own x_i never lies strictly inside her
     # burdensome take, which ends at or before reach <= x_i
     cuts = sorted(set(xs))
+    # the lowest j with xs[j] <= a is the lowest j whose prefix minimum
+    # min(xs[:j + 1]) is <= a; read backwards the minima ascend, so that j
+    # is n minus how many of them are <= a, and n means nobody qualifies
+    minima = list(accumulate(xs, min))[::-1]
     segments: list[list[tuple[Fraction, Fraction]]] = [[] for _ in xs]
     # the remainder is always one interval [lo, hi], empty once lo == hi
     lo, hi = ZERO, ONE
@@ -228,9 +233,11 @@ def allocate_prefix_chore(instance: Instance) -> Allocation:
         if left < right:
             inner = cuts[bisect_right(cuts, left) : bisect_left(cuts, right)]
             marks = [left, *inner, right]
+            # every mark a lies below right <= reach <= xs[i], so agent i
+            # herself never qualifies and needs no exclusion
             for a, b in zip(marks, marks[1:]):
-                receiver = next((j for j in range(n) if j != i and xs[j] <= a), i)
-                segments[receiver].append((a, b))
+                receiver = n - bisect_right(minima, a)
+                segments[receiver if receiver < n else i].append((a, b))
     if lo < hi:
         segments[n - 1].append((lo, hi))
     return Allocation(tuple(glued(sorted(segs)) for segs in segments))

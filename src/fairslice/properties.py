@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, permutations
+from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -357,7 +358,11 @@ def check_position_oblivious(
 
 
 def check_crossing_vs_eating(
-    instance: Instance, crossing: Allocation, eating: Allocation
+    instance: Instance,
+    crossing: Allocation,
+    eating: Allocation,
+    values_crossing: tuple[Fraction, ...] | None = None,
+    values_eating: tuple[Fraction, ...] | None = None,
 ) -> tuple[PropertyReport, PropertyReport]:
     """Compare the two independent formulations of the two-agent cake split,
     given the crossing form's allocation and the eating race's.
@@ -366,9 +371,13 @@ def check_crossing_vs_eating(
     same value; the physical pieces can legitimately differ (only in cake
     neither agent wants) when the last active eater leaps holes, and any
     such difference is reported as a finding rather than masked.
+
+    `values_crossing` and `values_eating`, each agent's value of that
+    route's outcome, spare a caller that already measured one from
+    measuring it again.
     """
-    values_crossing = crossing.values(instance)
-    values_eating = eating.values(instance)
+    values_crossing = values_crossing or crossing.values(instance)
+    values_eating = values_eating or eating.values(instance)
     value_witness: dict = {
         "crossing_values": values_crossing,
         "eating_values": values_eating,
@@ -425,10 +434,18 @@ def verify_reports(
                 reports.append(check_anonymity(mechanism, instance, sigma, values))
     if mechanism.name == "cake2":
         eating, _ = simulate_eating(instance)
-        reports.extend(check_crossing_vs_eating(instance, allocation, eating))
+        reports.extend(
+            check_crossing_vs_eating(
+                instance, allocation, eating, values_crossing=values
+            )
+        )
     elif mechanism.name == "cake2-eating":
         crossing = allocate_cake2(instance)
-        reports.extend(check_crossing_vs_eating(instance, crossing, allocation))
+        reports.extend(
+            check_crossing_vs_eating(
+                instance, crossing, allocation, values_eating=values
+            )
+        )
     if instance_b is not None:
         reports.append(
             check_position_oblivious(mechanism, instance, instance_b, values)
@@ -546,42 +563,63 @@ def deviation_value(
     return instance.valuations[agent].value(outcome.pieces[agent])
 
 
+@lru_cache(maxsize=8)
+def _lex_ranks(family: str, grid_denominator: int) -> tuple[int, ...]:
+    """Each candidate's place when the family's candidates are sorted by
+    their interval tuples, worked out once per (family, D).
+
+    The sort compares each candidate's endpoints as int counts of 1/L, L
+    being the lcm of their denominators: the same order as the Fractions'
+    at a third of the cost or less (4 to 6 ms for the 1,024 subsets at
+    D=10, against 12 to 25 ms).
+    """
+    reports = candidate_reports(family, grid_denominator)
+    ends = [[x for span in report.intervals for x in span] for report in reports]
+    unit = lcm(*(x.denominator for xs in ends for x in xs))
+    keys = [[x.numerator * (unit // x.denominator) for x in xs] for xs in ends]
+    ranks = [0] * len(reports)
+    for rank, idx in enumerate(sorted(range(len(reports)), key=keys.__getitem__)):
+        ranks[idx] = rank
+    return tuple(ranks)
+
+
 def summarize_deviation_search(
     kind: Resource,
     agent_id: str,
     grid_denominator: int,
     family: str,
     reports: Sequence[IntervalSet],
-    values: Sequence[Fraction],
-    truthful: Fraction,
+    values: Sequence[Fraction | int],
+    truthful: Fraction | int,
+    unit: int = 1,
 ) -> PropertyReport:
     """Reduce the candidates' values and the truthful value to a
-    deterministic report."""
+    deterministic report.
+
+    `reports` are the family's candidates, `candidate_reports(family,
+    grid_denominator)`, and `values` theirs in the same order. Values count
+    units of 1/`unit`: Fractions with the default unit 1, or ints, which
+    the prefix sweep passes scaled by the lcm of its denominators. Only
+    the witness's three numbers are built as Fractions.
+    """
     chore = kind is Resource.CHORE
-    best_idx = 0
-    for idx in range(1, len(values)):
-        better = (
-            (values[idx] < values[best_idx])
-            if chore
-            else (values[idx] > values[best_idx])
-        )
-        # equal-value candidates resolve to the lexicographically smallest
-        # report, so the witness is a pure function of the candidate set
-        if better or (
-            values[idx] == values[best_idx]
-            and reports[idx].intervals < reports[best_idx].intervals
-        ):
-            best_idx = idx
-    best = values[best_idx]
+    best = min(values) if chore else max(values)
+    # equal-value candidates resolve to the lexicographically smallest
+    # report, so the witness is a pure function of the candidate set
+    ranks = _lex_ranks(family, grid_denominator)
+    best_idx = min(
+        (idx for idx, value in enumerate(values) if value == best),
+        key=ranks.__getitem__,
+    )
     improves = best < truthful if chore else best > truthful
     witness = {
         "agent": agent_id,
         "family": family,
         "grid": grid_denominator,
-        "truthful_value": truthful,
+        "truthful_value": Fraction(truthful, unit),
         "best_report": reports[best_idx],
-        "best_value": best,
-        "gain": truthful - best if chore else best - truthful,
+        "best_value": Fraction(best, unit),
+        "gain": Fraction(truthful - best if chore else best - truthful, unit),
     }
     if improves:
         return _violated("truthful", witness)

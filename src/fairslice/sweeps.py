@@ -14,12 +14,19 @@ checks and one prefix-measure row per agent, M[i][j] = |piece_i ∩ [0, j/D]|.
 Every value a record needs is an entry of these rows: agent i of a profile
 with true index k_i values agent j's piece at M[j][k_i], and values what it
 would get by reporting [0, k/D] at the k_i entry of row i in the profile
-with its index replaced by k. Phase 2 reads them in instance order and
-reduces each agent's D+1 deviation values to its truthfulness report, its
-own value M[i][k_i] being the truthful value. The rows live exactly as long
-as one sweep_prefix_grid call, so nothing carries over from one sweep to
-the next. Sweeps are capped at SWEEP_PROFILE_CAP profiles, which bounds the
-rows' memory.
+with its index replaced by k. Once phase 1 ends, every row entry becomes
+an int count of 1/L, L being the lcm of all the rows' denominators (72 for
+prefix-cake at n=3, D=6), so phase 2 compares ints, not Fractions. Phase 2
+reads the rows in instance order and reduces each agent's D+1 deviation
+values to its truthfulness report, its own value M[i][k_i] being the
+truthful value. The agent, its truthful value and its deviation values fix
+that report exactly, so each distinct triple is reduced and serialized once
+and its document shared by every record it occurs in; each distinct check
+text is decoded once, and each distinct value formatted once. Records of
+one sweep thus share their report dicts and are read-only. The rows live
+exactly as long as one sweep_prefix_grid call, so nothing carries over from
+one sweep to the next. Sweeps are capped at SWEEP_PROFILE_CAP profiles,
+which bounds the rows' memory.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import itertools
 import json
 from fractions import Fraction
 from functools import partial
+from math import lcm
 from random import Random
 from typing import Iterator, Sequence
 
@@ -43,13 +51,21 @@ from .properties import (
     ordered_map,
     summarize_deviation_search,
 )
+from .rationals import format_rational
 from .serialize import dumps, report_document, to_jsonable
 
 # Phase 1 keeps n prefix-measure rows and one shared check text per
-# profile. Measured with tracemalloc, the largest sweeps this cap allows
-# peak at 23.4 MiB (prefix-cake, n=9, D=2), 23.0 MiB (n=14, D=1) and
-# 19.3 MiB (n=5, D=6), 1.2 to 1.4 KiB per profile.
+# profile. Measured with tracemalloc over a whole sweep, the largest
+# sweeps this cap allows peak at 23.4 MiB (prefix-cake, n=9, D=2),
+# 22.9 MiB (n=14, D=1) and 19.3 MiB (n=5, D=6), 1.2 to 1.5 KiB per
+# profile, all reached by the end of phase 1; prefix-chore peaks lower,
+# at 16.2 to 18.4 MiB.
 SWEEP_PROFILE_CAP = 20_000
+# Phase 2 keeps at most this many truthfulness documents and decoded check
+# texts, and starts each table afresh when it fills. prefix-cake has 252
+# distinct documents at n=3, D=6 and 6,345 at n=5, D=6, where unbounded
+# tables would add 4 MiB to the sweep's peak.
+SWEEP_MEMO_ENTRIES = 1024
 
 
 def guarantee_violations(
@@ -98,6 +114,21 @@ def _profile_payload(
     return (checks, tuple(guarantee_violations(mechanism, reports))), rows
 
 
+def _scale_rows(rows: list, unit: int) -> None:
+    """Rewrite each profile's rows in place as int counts of 1/unit.
+
+    Equal counts share one int object, so the rows take no more memory
+    than the Fractions they replace, one profile at a time.
+    """
+    pool: dict[int, int] = {}
+    for index, profile_rows in enumerate(rows):
+        scaled = []
+        for row in profile_rows:
+            counts = [v.numerator * (unit // v.denominator) for v in row]
+            scaled.append(tuple([pool.setdefault(c, c) for c in counts]))
+        rows[index] = tuple(scaled)
+
+
 def sweep_prefix_grid(
     mechanism_name: str,
     n: int,
@@ -106,7 +137,8 @@ def sweep_prefix_grid(
 ) -> Iterator[tuple[dict, list[str]]]:
     """Yield (record, broken-guarantees) per instance, in instance order.
 
-    The first record comes once every profile has run.
+    The first record comes once every profile has run. Records share their
+    report dicts with each other, so treat them as read-only.
     """
     count = 1
     for _ in range(n):
@@ -124,6 +156,7 @@ def sweep_prefix_grid(
     # phase 1; most profiles pass every check with the same text, kept once
     shared: dict = {}
     checks, rows = [], []
+    unit = 1
     for head, profile_rows in ordered_map(
         partial(_profile_payload, mechanism, valuations, points),
         profiles,
@@ -131,35 +164,55 @@ def sweep_prefix_grid(
     ):
         checks.append(shared.setdefault(head, head))
         rows.append(profile_rows)
+        unit = lcm(unit, *(v.denominator for row in profile_rows for v in row))
+    _scale_rows(rows, unit)
     # phase 2; the profile with agent i's index replaced by k sits at
     # index + (k - k_i) * stride_i
     span = grid_denominator + 1
     strides = [span ** (n - 1 - i) for i in range(n)]
     point_texts = to_jsonable(points)
     ids = default_ids(n)
+    texts: dict[int, str] = {}
+    decoded: dict[str, list] = {}
+    # (agent, truthful value, deviation values) fixes the whole report
+    verdicts: dict[tuple, tuple[dict, list[str]]] = {}
     for index, ks in enumerate(profiles):
         own = [rows[index][i][k] for i, k in enumerate(ks)]
-        truthful = []
+        text, check_violations = checks[index]
+        documents, broken = [], list(check_violations)
         for agent, (k, stride) in enumerate(zip(ks, strides)):
             first = index - k * stride
-            values = [
-                deviated[agent][k]
-                for deviated in rows[first : first + span * stride : stride]
-            ]
-            truthful.append(
-                summarize_deviation_search(
+            column = rows[first : first + span * stride : stride]
+            values = tuple([deviated[agent][k] for deviated in column])
+            key = (agent, own[agent], values)
+            if key not in verdicts:
+                if len(verdicts) == SWEEP_MEMO_ENTRIES:
+                    verdicts.clear()
+                report = summarize_deviation_search(
                     mechanism.kind, ids[agent], grid_denominator, "prefix",
-                    candidates, values, own[agent],
+                    candidates, values, own[agent], unit,
                 )
-            )
-        text, broken = checks[index]
+                verdicts[key] = (
+                    report_document(report),
+                    guarantee_violations(mechanism, [report]),
+                )
+            document, violations = verdicts[key]
+            documents.append(document)
+            broken += violations
+        if text not in decoded:
+            if len(decoded) == SWEEP_MEMO_ENTRIES:
+                decoded.clear()
+            decoded[text] = json.loads(text)
+        for value in own:
+            if value not in texts:
+                texts[value] = format_rational(Fraction(value, unit))
         record = {
             "instance": index,
             "xs": [point_texts[k] for k in ks],
-            "values": to_jsonable(own),
-            "reports": json.loads(text) + [report_document(r) for r in truthful],
+            "values": [texts[value] for value in own],
+            "reports": decoded[text] + documents,
         }
-        yield record, list(broken) + guarantee_violations(mechanism, truthful)
+        yield record, broken
 
 
 # -- randomized instances -----------------------------------------------

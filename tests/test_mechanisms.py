@@ -388,6 +388,25 @@ class TestPrefixChore:
                 [F(rng.randint(0, 24), 24) for _ in range(n)]
             )
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_receivers_match_linear_scan_up_to_64_agents(self, seed):
+        """The receiver bisection against the oracle's scan for the lowest
+        other agent at or left of each mark, with many equal claims."""
+        rng = Random(seed)
+        for _ in range(25):
+            n = rng.randint(2, 64)
+            grid = rng.choice([2, 3, 24])
+            self._assert_matches_set_algebra(
+                [F(rng.randint(0, grid), grid) for _ in range(n)]
+            )
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 64])
+    @pytest.mark.parametrize("x", [F(0), F(1, 3), F(1)])
+    def test_receivers_match_linear_scan_on_equal_claims(self, n, x):
+        self._assert_matches_set_algebra([x] * n)
+        self._assert_matches_set_algebra([x] * (n - 1) + [F(0)])
+        self._assert_matches_set_algebra(sorted(F(k, n) for k in range(n)))
+
     @given(prefix_instances(Resource.CHORE))
     def test_proportional(self, inst):
         alloc = allocate_prefix_chore(inst)

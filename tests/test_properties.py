@@ -32,7 +32,7 @@ from fairslice import (
 from fairslice.errors import NotPrefixFormError
 from fairslice import properties
 from fairslice.properties import allocation_reports, deviation_value, ordered_map
-from fairslice.sweeps import random_grid_subset
+from fairslice.sweeps import random_grid_subset, random_two_agent_instance
 from helpers import (
     F,
     cake,
@@ -718,6 +718,48 @@ class TestSearchDeviations:
         assert report.witness["best_report"].intervals == reports[values.index(best)].intervals
         assert report.witness["gain"] == gain
 
+    @staticmethod
+    def _pairwise_best(kind, reports, values):
+        """The reduction as a pairwise scan that compares interval tuples."""
+        best_idx = 0
+        for idx in range(1, len(values)):
+            better = (
+                values[idx] < values[best_idx]
+                if kind is Resource.CHORE
+                else values[idx] > values[best_idx]
+            )
+            if better or (
+                values[idx] == values[best_idx]
+                and reports[idx].intervals < reports[best_idx].intervals
+            ):
+                best_idx = idx
+        return best_idx
+
+    @pytest.mark.parametrize("kind", [Resource.CAKE, Resource.CHORE])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_rank_tie_break_matches_pairwise_scan(self, kind, d):
+        """Subset masks are not in lexicographic order, so the winner among
+        equal values must come from the ranks, for ints and Fractions."""
+        reports = properties.candidate_reports("subsets", d)
+        order = sorted(range(len(reports)), key=lambda idx: reports[idx].intervals)
+        assert order != list(range(len(reports)))
+        rng = Random(d)
+        for _ in range(200):
+            values = [rng.randint(0, 2) for _ in reports]
+            best_idx = self._pairwise_best(kind, reports, values)
+            for unit, scaled in ((6, values), (1, [F(v, 6) for v in values])):
+                report = properties.summarize_deviation_search(
+                    kind, "a1", d, "subsets", reports, scaled, scaled[0], unit
+                )
+                witness = report.witness
+                assert witness["best_report"] is reports[best_idx]
+                assert witness["best_value"] == F(values[best_idx], 6)
+                assert type(witness["best_value"]) is Fraction
+                assert witness["truthful_value"] == F(values[0], 6)
+                gain = F(values[best_idx] - values[0], 6)
+                assert witness["gain"] == (-gain if kind is Resource.CHORE else gain)
+                assert report.verdict == ("violated" if witness["gain"] else "holds")
+
     def test_deterministic_and_worker_independent(self):
         serial = search_deviations(MECH_CUT_CHOOSE, self.CUT_INSTANCE, 0, 8, "subsets")
         again = search_deviations(MECH_CUT_CHOOSE, self.CUT_INSTANCE, 0, 8, "subsets")
@@ -795,6 +837,38 @@ class TestAllocationReports:
         assert [r.property for r in reports] == [
             "full-and-connected", "envy-free", "proportional"
         ]
+
+
+class TestVerifyReports:
+    @pytest.mark.parametrize("name", ["cake2", "cake2-eating"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_crossing_vs_eating_measures_only_the_other_route(
+        self, monkeypatch, name, seed
+    ):
+        """The battery passes its own route's values on, so only the other
+        route's allocation is measured, with the same reports as a check
+        that measures both."""
+        instance = random_two_agent_instance(Random(seed))
+        mechanism = get_mechanism(name)
+        own = mechanism.run(instance)
+        if name == "cake2":
+            crossing = own
+            eating = other = properties.simulate_eating(instance)[0]
+        else:
+            crossing = other = MECH_CAKE2.run(instance)
+            eating = own
+        expected = properties.check_crossing_vs_eating(instance, crossing, eating)
+        measured = []
+        values = Allocation.values
+
+        def recording(allocation, inst):
+            measured.append(allocation)
+            return values(allocation, inst)
+
+        monkeypatch.setattr(Allocation, "values", recording)
+        reports = properties.verify_reports(mechanism, instance)
+        assert measured == [other]
+        assert tuple(reports[-2:]) == expected
 
 
 def _cell_allocation(owners, n, den):

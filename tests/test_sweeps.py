@@ -2,6 +2,7 @@
 searches, the run count, worker independence and the sweep-size cap."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 from random import Random
@@ -17,7 +18,7 @@ from fairslice import (
     get_mechanism,
     search_deviations,
 )
-from fairslice import mechanisms, model
+from fairslice import mechanisms, model, sweeps
 from fairslice.cli import main
 from fairslice.properties import allocation_reports, grid_points
 from fairslice.rationals import parse_rational
@@ -184,3 +185,33 @@ def test_instances_built_only_in_phase_one(monkeypatch):
     assert sum(1 for _ in sweep) == 342
     assert len(built) == 343
     assert len({instance.valuations for instance in built}) == 343
+
+
+# sha256 of `enumerate --format machine` stdout, frozen before the sweep
+# reduced on integers; any change to a record's bytes shows here
+GOLDEN_SHA256 = {
+    ("prefix-cake", 3, 6):
+        "b65d2e51775d264d293cfb67cf6726e805bb6b165a01d9f248ab2d04aa3c9959",
+    ("prefix-cake", 2, 8):
+        "e859bb414d95dcddeaaa59a62d66e55dbe01334cfab991a4ee94291713f3bcfe",
+    ("prefix-chore", 3, 6):
+        "51ce0350ca42d6b8818bfc33bff9f87d43e492480f647c6c30098f6bff3088e7",
+    ("prefix-chore", 2, 8):
+        "3ebf688d4f35b6f2e92512ecfdd5e3a4a89ff72dc762c781e1ff068215185957",
+}
+
+
+@pytest.mark.parametrize("name, n, d", sorted(GOLDEN_SHA256))
+def test_machine_output_bytes_are_golden(capsys, name, n, d):
+    main(["enumerate", "--mechanism", name, "--n", str(n), "--grid", str(d),
+          "--format", "machine"])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[name, n, d]
+
+
+@pytest.mark.parametrize("entries", [1, 2, 7])
+def test_memo_tables_refilled_give_identical_records(monkeypatch, entries):
+    """Starting the memo tables afresh whenever they fill changes nothing."""
+    expected = list(sweep_prefix_grid("prefix-cake", 3, 4))
+    monkeypatch.setattr(sweeps, "SWEEP_MEMO_ENTRIES", entries)
+    assert list(sweep_prefix_grid("prefix-cake", 3, 4)) == expected
