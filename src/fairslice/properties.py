@@ -14,12 +14,10 @@ whole family, and a "violated" verdict names the best deviation found.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, permutations
-from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -469,8 +467,10 @@ def grid_points(grid_denominator: int) -> tuple[Fraction, ...]:
 
 @lru_cache(maxsize=8)
 def candidate_reports(family: str, grid_denominator: int) -> tuple[IntervalSet, ...]:
-    """The report family's candidates in canonical order, built once per
-    (family, D) since every search on that grid scans the same list."""
+    """The report family's candidates sorted by their interval tuples,
+    built once per (family, D) since every search on that grid scans the
+    same list. This order is the search's tie-break: among equally good
+    reports the first one wins."""
     _require_grid(grid_denominator)
     if family == "prefix":
         if grid_denominator > PREFIX_GRID_CAP:
@@ -487,12 +487,23 @@ def candidate_reports(family: str, grid_denominator: int) -> tuple[IntervalSet, 
             )
         points = grid_points(grid_denominator)
         cells = list(zip(points, points[1:]))
-        # all unions of the D grid cells, in mask order
-        return tuple(
+        unions = [
             IntervalSet.from_endpoints(
                 [cells[k] for k in range(grid_denominator) if mask >> k & 1]
             )
             for mask in range(1 << grid_denominator)
+        ]
+        # the flattened endpoints sort as the interval tuples do; each
+        # endpoint k/D is compared as the int k
+        return tuple(
+            sorted(
+                unions,
+                key=lambda union: [
+                    x.numerator * (grid_denominator // x.denominator)
+                    for span in union.intervals
+                    for x in span
+                ],
+            )
         )
     raise PreconditionUnmetError(
         f"unknown report family {family!r}; choose 'prefix' or 'subsets'"
@@ -512,6 +523,9 @@ def ordered_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
     if workers <= 1:
         yield from map(fn, items)
         return
+    # imported here, so that a serial run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     chunksize = -(-len(items) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, items, chunksize=chunksize)
@@ -530,10 +544,10 @@ def search_deviations(
     Every candidate report replaces the agent's true one; the outcome is
     scored under the TRUE valuation. The verdict is violated iff some
     candidate strictly beats truth-telling; the witness is the best
-    deviation, ties broken toward the lexicographically smallest interval
-    tuple among the equally good reports, so the result is deterministic
-    no matter how the evaluation is scheduled. The truthful value comes
-    from one more run, on the agent's own report.
+    deviation. Candidates come in lexicographic order of their interval
+    tuples and the first of the equally good ones wins, so the result is
+    deterministic no matter how the evaluation is scheduled. The truthful
+    value comes from one more run, on the agent's own report.
     """
     if mechanism.prefix_only and family != "prefix":
         raise PreconditionUnmetError(
@@ -548,7 +562,7 @@ def search_deviations(
     truthful = deviation_value(mechanism, instance, agent, instance.desired(agent))
     return summarize_deviation_search(
         instance.kind, instance.ids[agent], grid_denominator, family,
-        reports, values, truthful,
+        values, truthful,
     )
 
 
@@ -563,32 +577,11 @@ def deviation_value(
     return instance.valuations[agent].value(outcome.pieces[agent])
 
 
-@lru_cache(maxsize=8)
-def _lex_ranks(family: str, grid_denominator: int) -> tuple[int, ...]:
-    """Each candidate's place when the family's candidates are sorted by
-    their interval tuples, worked out once per (family, D).
-
-    The sort compares each candidate's endpoints as int counts of 1/L, L
-    being the lcm of their denominators: the same order as the Fractions'
-    at a third of the cost or less (4 to 6 ms for the 1,024 subsets at
-    D=10, against 12 to 25 ms).
-    """
-    reports = candidate_reports(family, grid_denominator)
-    ends = [[x for span in report.intervals for x in span] for report in reports]
-    unit = lcm(*(x.denominator for xs in ends for x in xs))
-    keys = [[x.numerator * (unit // x.denominator) for x in xs] for xs in ends]
-    ranks = [0] * len(reports)
-    for rank, idx in enumerate(sorted(range(len(reports)), key=keys.__getitem__)):
-        ranks[idx] = rank
-    return tuple(ranks)
-
-
 def summarize_deviation_search(
     kind: Resource,
     agent_id: str,
     grid_denominator: int,
     family: str,
-    reports: Sequence[IntervalSet],
     values: Sequence[Fraction | int],
     truthful: Fraction | int,
     unit: int = 1,
@@ -596,28 +589,24 @@ def summarize_deviation_search(
     """Reduce the candidates' values and the truthful value to a
     deterministic report.
 
-    `reports` are the family's candidates, `candidate_reports(family,
-    grid_denominator)`, and `values` theirs in the same order. Values count
+    `values` are those of the family's candidates, in the order of
+    `candidate_reports(family, grid_denominator)`. Values count
     units of 1/`unit`: Fractions with the default unit 1, or ints, which
     the prefix sweep passes scaled by the lcm of its denominators. Only
     the witness's three numbers are built as Fractions.
     """
     chore = kind is Resource.CHORE
     best = min(values) if chore else max(values)
-    # equal-value candidates resolve to the lexicographically smallest
-    # report, so the witness is a pure function of the candidate set
-    ranks = _lex_ranks(family, grid_denominator)
-    best_idx = min(
-        (idx for idx, value in enumerate(values) if value == best),
-        key=ranks.__getitem__,
-    )
+    # candidates are in lexicographic order, so the first best one is the
+    # smallest report, and the witness a pure function of the candidate set
+    best_idx = values.index(best)
     improves = best < truthful if chore else best > truthful
     witness = {
         "agent": agent_id,
         "family": family,
         "grid": grid_denominator,
         "truthful_value": Fraction(truthful, unit),
-        "best_report": reports[best_idx],
+        "best_report": candidate_reports(family, grid_denominator)[best_idx],
         "best_value": Fraction(best, unit),
         "gain": Fraction(truthful - best if chore else best - truthful, unit),
     }

@@ -20,13 +20,15 @@ prefix-cake at n=3, D=6), so phase 2 compares ints, not Fractions. Phase 2
 reads the rows in instance order and reduces each agent's D+1 deviation
 values to its truthfulness report, its own value M[i][k_i] being the
 truthful value. The agent, its truthful value and its deviation values fix
-that report exactly, so each distinct triple is reduced and serialized once
-and its document shared by every record it occurs in; each distinct check
-text is decoded once, and each distinct value formatted once. Records of
-one sweep thus share their report dicts and are read-only. The rows live
-exactly as long as one sweep_prefix_grid call, so nothing carries over from
-one sweep to the next. Sweeps are capped at SWEEP_PROFILE_CAP profiles,
-which bounds the rows' memory.
+that report exactly, so phase 2 memoizes the reduced and serialized report
+by that triple and shares its document among the records it occurs in; it
+likewise decodes each check text and formats each value once. The memos
+are lru_cache wrappers; the documents and decoded texts evict the least
+recently used once SWEEP_MEMO_ENTRIES are held. Records of one sweep thus
+share their report dicts and are read-only. The rows and the memos live
+exactly as long as one sweep_prefix_grid call, so nothing carries over
+from one sweep to the next. Sweeps are capped at SWEEP_PROFILE_CAP
+profiles, which bounds the rows' memory.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import lcm
 from random import Random
 from typing import Iterator, Sequence
@@ -62,9 +64,9 @@ from .serialize import dumps, report_document, to_jsonable
 # at 16.2 to 18.4 MiB.
 SWEEP_PROFILE_CAP = 20_000
 # Phase 2 keeps at most this many truthfulness documents and decoded check
-# texts, and starts each table afresh when it fills. prefix-cake has 252
-# distinct documents at n=3, D=6 and 6,345 at n=5, D=6, where unbounded
-# tables would add 4 MiB to the sweep's peak.
+# texts, evicting the least recently used. prefix-cake has 252 distinct
+# documents at n=3, D=6 and 6,345 at n=5, D=6, where unbounded memos would
+# add 4 MiB to the sweep's peak.
 SWEEP_MEMO_ENTRIES = 1024
 
 
@@ -172,10 +174,18 @@ def sweep_prefix_grid(
     strides = [span ** (n - 1 - i) for i in range(n)]
     point_texts = to_jsonable(points)
     ids = default_ids(n)
-    texts: dict[int, str] = {}
-    decoded: dict[str, list] = {}
     # (agent, truthful value, deviation values) fixes the whole report
-    verdicts: dict[tuple, tuple[dict, list[str]]] = {}
+    @lru_cache(maxsize=SWEEP_MEMO_ENTRIES)
+    def verdict(agent: int, truthful: int, values: tuple[int, ...]):
+        report = summarize_deviation_search(
+            mechanism.kind, ids[agent], grid_denominator, "prefix",
+            values, truthful, unit,
+        )
+        return report_document(report), guarantee_violations(mechanism, [report])
+    decode = lru_cache(maxsize=SWEEP_MEMO_ENTRIES)(json.loads)
+    value_text = lru_cache(maxsize=None)(
+        lambda value: format_rational(Fraction(value, unit))
+    )
     for index, ks in enumerate(profiles):
         own = [rows[index][i][k] for i, k in enumerate(ks)]
         text, check_violations = checks[index]
@@ -184,33 +194,14 @@ def sweep_prefix_grid(
             first = index - k * stride
             column = rows[first : first + span * stride : stride]
             values = tuple([deviated[agent][k] for deviated in column])
-            key = (agent, own[agent], values)
-            if key not in verdicts:
-                if len(verdicts) == SWEEP_MEMO_ENTRIES:
-                    verdicts.clear()
-                report = summarize_deviation_search(
-                    mechanism.kind, ids[agent], grid_denominator, "prefix",
-                    candidates, values, own[agent], unit,
-                )
-                verdicts[key] = (
-                    report_document(report),
-                    guarantee_violations(mechanism, [report]),
-                )
-            document, violations = verdicts[key]
+            document, violations = verdict(agent, own[agent], values)
             documents.append(document)
             broken += violations
-        if text not in decoded:
-            if len(decoded) == SWEEP_MEMO_ENTRIES:
-                decoded.clear()
-            decoded[text] = json.loads(text)
-        for value in own:
-            if value not in texts:
-                texts[value] = format_rational(Fraction(value, unit))
         record = {
             "instance": index,
             "xs": [point_texts[k] for k in ks],
-            "values": [texts[value] for value in own],
-            "reports": decoded[text] + documents,
+            "values": [value_text(value) for value in own],
+            "reports": decode(text) + documents,
         }
         yield record, broken
 

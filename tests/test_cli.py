@@ -408,6 +408,103 @@ GOLDEN_BATTERY = [
      "17170673dda0e7243be20634bce8202049d8600a07d396b245915cebf3413875"),
 ]
 
+# Each agent's desired intervals, given the resource of the mechanism under
+# test. Most searches here end in ties between many equally good reports,
+# so the digests below pin which of them each witness names.
+DEVIATE_AGENTS = {
+    "cutter": [[["0", "1"]], [["0", "1/4"]]],
+    "halves": [[["0", "1/2"]], [["1/2", "1"]]],
+    "comb": [[["0", "1/4"], ["1/2", "3/4"]], [["1/4", "1/2"], ["3/4", "1"]]],
+    "overlap": [[["0", "2/3"]], [["1/3", "1"]]],
+    "pair": [[["0", "1/2"]], [["0", "1/4"]]],
+    "triple": [[["0", "1/3"]], [["0", "1/3"]], [["0", "2/3"]]],
+}
+# The SHA-256 of `deviate --format machine` stdout for every agent, printed
+# while subset candidates were still built in mask order, with ties broken
+# by a separate table of lexicographic ranks.
+GOLDEN_DEVIATE = [
+    ("cake2", "subsets", 6, "cutter", 0,
+     "7dca6bfebef93bc064249e08d78846ed8759d9d7ba47f212276a6672d3f22a97"),
+    ("cake2", "subsets", 8, "cutter", 0,
+     "943914e50c03105f11abbc1349d52c80063882a784118d4e74e4e443657ef067"),
+    ("cake2", "subsets", 6, "halves", 0,
+     "6981c048b6bfa81d63458918032f1325d237ab17f3a676ffd8691893223fa6a7"),
+    ("cake2", "subsets", 8, "halves", 0,
+     "8b1e0ec7f13267bd7e971609bdeb49d42cf01650f58f85f211f1d9bec31556c1"),
+    ("cake2", "subsets", 6, "comb", 0,
+     "c32b01139f9936dee2de1344c28a51856748ab9833800826f1ab30ebae855d99"),
+    ("cake2", "subsets", 8, "comb", 0,
+     "4f35464b5327b4c85d714fbf64e681dc3db53273887b01c274590c16e3aec012"),
+    ("cake2", "subsets", 6, "overlap", 0,
+     "6981c048b6bfa81d63458918032f1325d237ab17f3a676ffd8691893223fa6a7"),
+    ("cake2", "subsets", 8, "overlap", 0,
+     "8b1e0ec7f13267bd7e971609bdeb49d42cf01650f58f85f211f1d9bec31556c1"),
+    ("chore2", "subsets", 6, "cutter", 0,
+     "b370724cec9f8f1c4b0ffaa60c35aabf57658ff221b06ad14063255bc30ccb4e"),
+    ("chore2", "subsets", 8, "cutter", 0,
+     "6c8dca90c2e807b0ac3cc6f7b44b36a8663e65be9f806bb3234487e4b49d82ae"),
+    ("chore2", "subsets", 6, "halves", 0,
+     "d676b8b8767a631ba03932e508cb1b7e89590af3ddf456f3fa9e5e5182bd9396"),
+    ("chore2", "subsets", 8, "halves", 0,
+     "347832b9bdee335f443bbd34714f725d523675b01aca6d0c6cffd799b907cdda"),
+    ("chore2", "subsets", 6, "comb", 0,
+     "1a06a17ff8c8b903cad1fec7b780ab54e46ee67853ed6a103acca8a98b15d615"),
+    ("chore2", "subsets", 8, "comb", 0,
+     "b34bb8bf03c0087ba92aabb51b9d0e404b651a6aa3bc241bb3bf8d99ba96089e"),
+    ("chore2", "subsets", 6, "overlap", 0,
+     "3153aa8bf41fba5f4081290196dd9a7beefab420b33dc1053fc76529333bbe67"),
+    ("chore2", "subsets", 8, "overlap", 0,
+     "41e899e728c3a2cf77ec7320252e194759c351b706cdb0073a72efbe1e46b622"),
+    ("cut-and-choose", "subsets", 6, "cutter", 1,
+     "4a5e8c5080792ae5dda697320c72cfd45d169bd647ce06f1f881fdf959158cd1"),
+    ("cut-and-choose", "subsets", 8, "cutter", 1,
+     "84558ccdf6d10c3d1bfaa1b4f5f82b897bc73bbbcdce2d9172e28305a0e6d548"),
+    ("cut-and-choose", "subsets", 6, "halves", 1,
+     "ce820ab45ae2128511322d6dd6900920231e309507fed782565709e5befd7666"),
+    ("cut-and-choose", "subsets", 8, "halves", 1,
+     "1d95d4b7c6e03bea0bd996d3d95e399c2589202f995a39c6c78c7ba33116b7ee"),
+    ("cut-and-choose", "subsets", 6, "comb", 0,
+     "5c4a4302af890c4e7aea294f6398e52792f827f3c1dcc54ffc3a0422a3086d77"),
+    ("cut-and-choose", "subsets", 8, "comb", 0,
+     "e41197a9bb44e3cfb063ca3c7b826eab6d85aea33681d31f3ebfe64acc0fefcc"),
+    ("cut-and-choose", "subsets", 6, "overlap", 1,
+     "a8f454fa91ff67b4e67a34f5372a48e25f1d1def9db05bbc3099f5d6dc8be36c"),
+    ("cut-and-choose", "subsets", 8, "overlap", 1,
+     "70ff9cf83e63036140899f932ac7881d64a4e886923ce3f4df957fd0335118d5"),
+    ("cake2-eating", "subsets", 6, "cutter", 0,
+     "7dca6bfebef93bc064249e08d78846ed8759d9d7ba47f212276a6672d3f22a97"),
+    ("cake2-eating", "subsets", 8, "cutter", 0,
+     "943914e50c03105f11abbc1349d52c80063882a784118d4e74e4e443657ef067"),
+    ("cake2-eating", "subsets", 6, "halves", 0,
+     "6981c048b6bfa81d63458918032f1325d237ab17f3a676ffd8691893223fa6a7"),
+    ("cake2-eating", "subsets", 8, "halves", 0,
+     "8b1e0ec7f13267bd7e971609bdeb49d42cf01650f58f85f211f1d9bec31556c1"),
+    ("cake2-eating", "subsets", 6, "comb", 0,
+     "c32b01139f9936dee2de1344c28a51856748ab9833800826f1ab30ebae855d99"),
+    ("cake2-eating", "subsets", 8, "comb", 0,
+     "4f35464b5327b4c85d714fbf64e681dc3db53273887b01c274590c16e3aec012"),
+    ("cake2-eating", "subsets", 6, "overlap", 0,
+     "6981c048b6bfa81d63458918032f1325d237ab17f3a676ffd8691893223fa6a7"),
+    ("cake2-eating", "subsets", 8, "overlap", 0,
+     "8b1e0ec7f13267bd7e971609bdeb49d42cf01650f58f85f211f1d9bec31556c1"),
+    ("prefix-cake", "prefix", 6, "pair", 0,
+     "d36bfc0b28f34605e1be2242558d5ef1c8837528a6bb4374d00099fb5e79a7e3"),
+    ("prefix-cake", "prefix", 8, "pair", 0,
+     "de3520ab27cef35e905109ee21be835b8f6f63ff89e04e6add9708bb91a8062d"),
+    ("prefix-cake", "prefix", 6, "triple", 0,
+     "06b1129b64c8974926a0b10003c6b0f56039e91928e0abd4d4f159768aa4e64d"),
+    ("prefix-cake", "prefix", 8, "triple", 0,
+     "b75f71bc46fc85c9019e15fdbfcb4aa829bb8ac6046f5ea76f0b36182162f78f"),
+    ("prefix-chore", "prefix", 6, "pair", 0,
+     "ab535f7b33f4c1417acb2530e6da012d2ab233096ba63bc1ccdc558085016cbc"),
+    ("prefix-chore", "prefix", 8, "pair", 0,
+     "0330cd068f4ae4f52df4b89c0c02b4eff6988c7a5bab114f5a39b176c649d2cc"),
+    ("prefix-chore", "prefix", 6, "triple", 0,
+     "bac8703c0fa75837bb324c9d61fea89dde79c033a672659b78e02507819591aa"),
+    ("prefix-chore", "prefix", 8, "triple", 0,
+     "201f27ed543c60baabc7c019c96d93af3a863af84a2278de7da25fa7be71bc04"),
+]
+
 
 class TestGoldenBytes:
     @pytest.mark.parametrize("name, claims, verify_digest, allocate_digest",
@@ -459,6 +556,25 @@ class TestGoldenBytes:
                 args += [option, str(path)]
         # every one of these breaks connectedness or full coverage
         assert main(args) == 1
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out[:400]
+
+    @pytest.mark.parametrize("name, family, grid, agents, code, digest",
+                             GOLDEN_DEVIATE)
+    def test_deviate_frozen(
+        self, fx, capsys, name, family, grid, agents, code, digest
+    ):
+        path = fx["dir"] / "golden.json"
+        path.write_text(json.dumps({
+            "resource": get_mechanism(name).kind.value,
+            "agents": [
+                {"id": f"a{i + 1}", "intervals": intervals}
+                for i, intervals in enumerate(DEVIATE_AGENTS[agents])
+            ],
+        }))
+        assert main(["deviate", "--mechanism", name, "--instance", str(path),
+                     "--grid", str(grid), "--family", family,
+                     "--format", "machine"]) == code
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, out[:400]
 
@@ -1056,6 +1172,17 @@ class TestParserReuse:
             capture_output=True, text=True, check=True,
         )
         assert probe.stdout == "0\n"
+
+    def test_import_loads_no_process_pool(self):
+        src = os.path.dirname(os.path.dirname(fairslice.__file__))
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, fairslice.cli; print(sorted({'concurrent.futures.process', "
+             "'multiprocessing'} & set(sys.modules)))"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert probe.stdout == "[]\n"
 
     def test_repeated_calls_build_it_once(self, fx, capsys):
         build_parser.cache_clear()

@@ -1,5 +1,6 @@
 """Fairness verdicts, witness payloads, and the deviation search."""
 
+import concurrent.futures
 import itertools
 from fractions import Fraction
 from random import Random
@@ -710,7 +711,7 @@ class TestSearchDeviations:
         reports = properties.candidate_reports("prefix", 4)
         values = [F(v) for v in (2, 3, 1, 3, 1)]
         report = properties.summarize_deviation_search(
-            kind, "b7", 4, "prefix", reports, values, F(truthful)
+            kind, "b7", 4, "prefix", values, F(truthful)
         )
         assert report.verdict == verdict
         assert report.witness["agent"] == "b7"
@@ -738,18 +739,18 @@ class TestSearchDeviations:
     @pytest.mark.parametrize("kind", [Resource.CAKE, Resource.CHORE])
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_rank_tie_break_matches_pairwise_scan(self, kind, d):
-        """Subset masks are not in lexicographic order, so the winner among
-        equal values must come from the ranks, for ints and Fractions."""
+        """Subset candidates come in lexicographic order, so the first best
+        one is the pairwise scan's winner, for ints and Fractions."""
         reports = properties.candidate_reports("subsets", d)
         order = sorted(range(len(reports)), key=lambda idx: reports[idx].intervals)
-        assert order != list(range(len(reports)))
+        assert order == list(range(len(reports)))
         rng = Random(d)
         for _ in range(200):
             values = [rng.randint(0, 2) for _ in reports]
             best_idx = self._pairwise_best(kind, reports, values)
             for unit, scaled in ((6, values), (1, [F(v, 6) for v in values])):
                 report = properties.summarize_deviation_search(
-                    kind, "a1", d, "subsets", reports, scaled, scaled[0], unit
+                    kind, "a1", d, "subsets", scaled, scaled[0], unit
                 )
                 witness = report.witness
                 assert witness["best_report"] is reports[best_idx]
@@ -779,6 +780,14 @@ class TestGrid:
         with pytest.raises(PreconditionUnmetError, match="grid denominator must be at least 1"):
             random_grid_subset(Random(0), 0)
 
+    @pytest.mark.parametrize("family", ["prefix", "subsets"])
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_candidates_come_in_lexicographic_order(self, family, d):
+        """The search's tie-break is the candidates' own order."""
+        reports = properties.candidate_reports(family, d)
+        assert list(reports) == sorted(reports, key=lambda r: r.intervals)
+        assert len(set(reports)) == (d + 1 if family == "prefix" else 2**d)
+
     @pytest.mark.parametrize("family", ["prefix", "subsets", "wedges"])
     def test_candidates_check_the_grid_before_the_family(self, family):
         with pytest.raises(PreconditionUnmetError, match="grid denominator must be at least 1"):
@@ -807,7 +816,7 @@ class _RecordingPool:
 class TestOrderedMap:
     @pytest.mark.parametrize("cpus, pool", [(None, None), (1, None), (2, 2), (64, 3)])
     def test_pool_capped_by_cpus_and_items(self, monkeypatch, cpus, pool):
-        monkeypatch.setattr(properties, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(properties.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         assert list(ordered_map(str, [3, 1, 2], 10**6)) == ["3", "1", "2"]

@@ -209,9 +209,9 @@ def test_machine_output_bytes_are_golden(capsys, name, n, d):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[name, n, d]
 
 
-@pytest.mark.parametrize("entries", [1, 2, 7])
+@pytest.mark.parametrize("entries", [0, 1, 2, 7])
 def test_memo_tables_refilled_give_identical_records(monkeypatch, entries):
-    """Starting the memo tables afresh whenever they fill changes nothing."""
+    """Evicting from the memos, or caching nothing at all, changes nothing."""
     expected = list(sweep_prefix_grid("prefix-cake", 3, 4))
     monkeypatch.setattr(sweeps, "SWEEP_MEMO_ENTRIES", entries)
     assert list(sweep_prefix_grid("prefix-cake", 3, 4)) == expected
