@@ -282,28 +282,21 @@ _COMMANDS = {
 }
 
 
-def run_cli(config: argparse.Namespace, out=None) -> int:
-    out = out or sys.stdout
-    try:
-        return _COMMANDS[config.command](config, out)
-    except (FairsliceError, OSError) as exc:
-        print(f"fairslice: error: {exc}", file=sys.stderr)
-        return 2
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        namespace = parser.parse_args(argv)
+        config = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if getattr(namespace, "grid", 1) < 1:
-        print("fairslice: error: --grid must be at least 1", file=sys.stderr)
+    try:
+        if getattr(config, "grid", 1) < 1:
+            raise FairsliceError("--grid must be at least 1")
+        if config.command == "enumerate" and config.n < 1:
+            raise FairsliceError("--n must be at least 1")
+        return _COMMANDS[config.command](config, sys.stdout)
+    except (FairsliceError, OSError) as exc:
+        print(f"fairslice: error: {exc}", file=sys.stderr)
         return 2
-    if namespace.command == "enumerate" and namespace.n < 1:
-        print("fairslice: error: --n must be at least 1", file=sys.stderr)
-        return 2
-    return run_cli(namespace)
 
 
 if __name__ == "__main__":

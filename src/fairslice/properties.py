@@ -292,6 +292,26 @@ def indicator_vector(instance: Instance) -> dict[frozenset[int], Fraction]:
     return entries
 
 
+def _agreement(
+    name: str,
+    ids: Sequence[str],
+    first: Sequence,
+    second: Sequence,
+    witness: dict | None = None,
+    detail: Callable[[int], dict] = lambda i: {},
+) -> PropertyReport:
+    """Whether two outcomes agree agent by agent.
+
+    The report holds with `witness` when `first` and `second` are equal at
+    every index. Otherwise it is violated, and its witness extends
+    `witness` with the first differing agent and `detail` of its index.
+    """
+    for i, (x, y) in enumerate(zip(first, second)):
+        if x != y:
+            return _violated(name, {**(witness or {}), "agent": ids[i], **detail(i)})
+    return _holds(name, witness)
+
+
 def check_anonymity(
     mechanism: MechanismInfo,
     instance: Instance,
@@ -311,18 +331,14 @@ def check_anonymity(
         instance.valuations[i].value(permuted.pieces[list(sigma).index(i)])
         for i in range(instance.n)
     )
-    witness = {
-        "sigma": list(sigma),
-        "original_values": before,
-        "permuted_values": after,
-    }
-    for i in range(instance.n):
-        if before[i] != after[i]:
-            witness["agent"] = instance.ids[i]
-            witness["original_value"] = before[i]
-            witness["permuted_value"] = after[i]
-            return _violated("anonymity", witness)
-    return _holds("anonymity", witness)
+    return _agreement(
+        "anonymity",
+        instance.ids,
+        before,
+        after,
+        {"sigma": list(sigma), "original_values": before, "permuted_values": after},
+        lambda i: {"original_value": before[i], "permuted_value": after[i]},
+    )
 
 
 def check_position_oblivious(
@@ -348,19 +364,11 @@ def check_position_oblivious(
     values_a = values_a or mechanism.run(instance_a).values(instance_a)
     values_b = mechanism.run(instance_b).values(instance_b)
     witness = {"values_a": values_a, "values_b": values_b}
-    for i in range(instance_a.n):
-        if values_a[i] != values_b[i]:
-            witness["agent"] = instance_a.ids[i]
-            return _violated("position-oblivious", witness)
-    return _holds("position-oblivious", witness)
+    return _agreement("position-oblivious", instance_a.ids, values_a, values_b, witness)
 
 
 def check_crossing_vs_eating(
-    instance: Instance,
-    crossing: Allocation,
-    eating: Allocation,
-    values_crossing: tuple[Fraction, ...] | None = None,
-    values_eating: tuple[Fraction, ...] | None = None,
+    instance: Instance, crossing: Allocation, eating: Allocation
 ) -> tuple[PropertyReport, PropertyReport]:
     """Compare the two independent formulations of the two-agent cake split,
     given the crossing form's allocation and the eating race's.
@@ -369,43 +377,26 @@ def check_crossing_vs_eating(
     same value; the physical pieces can legitimately differ (only in cake
     neither agent wants) when the last active eater leaps holes, and any
     such difference is reported as a finding rather than masked.
-
-    `values_crossing` and `values_eating`, each agent's value of that
-    route's outcome, spare a caller that already measured one from
-    measuring it again.
     """
-    values_crossing = values_crossing or crossing.values(instance)
-    values_eating = values_eating or eating.values(instance)
-    value_witness: dict = {
-        "crossing_values": values_crossing,
-        "eating_values": values_eating,
-    }
-    if values_crossing == values_eating:
-        values_report = _holds("crossing-vs-eating-values", value_witness)
-    else:
-        mismatch = next(
-            i
-            for i in range(instance.n)
-            if values_crossing[i] != values_eating[i]
-        )
-        value_witness["agent"] = instance.ids[mismatch]
-        values_report = _violated("crossing-vs-eating-values", value_witness)
-    if crossing.pieces == eating.pieces:
-        pieces_report = _holds("crossing-vs-eating-pieces")
-    else:
-        mismatch = next(
-            i
-            for i in range(instance.n)
-            if crossing.pieces[i] != eating.pieces[i]
-        )
-        pieces_report = _violated(
-            "crossing-vs-eating-pieces",
-            {
-                "agent": instance.ids[mismatch],
-                "crossing_piece": crossing.pieces[mismatch],
-                "eating_piece": eating.pieces[mismatch],
-            },
-        )
+    values_crossing = crossing.values(instance)
+    values_eating = eating.values(instance)
+    values_report = _agreement(
+        "crossing-vs-eating-values",
+        instance.ids,
+        values_crossing,
+        values_eating,
+        {"crossing_values": values_crossing, "eating_values": values_eating},
+    )
+    pieces_report = _agreement(
+        "crossing-vs-eating-pieces",
+        instance.ids,
+        crossing.pieces,
+        eating.pieces,
+        detail=lambda i: {
+            "crossing_piece": crossing.pieces[i],
+            "eating_piece": eating.pieces[i],
+        },
+    )
     return values_report, pieces_report
 
 
@@ -419,8 +410,9 @@ def verify_reports(
     up to four agents, crossing-vs-eating for the two-agent cake split, and
     position-obliviousness against `instance_b` when one is given.
 
-    The instance runs once, and every check reads that run's values; the
-    crossing-vs-eating check runs only the route the mechanism is not.
+    The instance runs once, and every check but crossing-vs-eating reads
+    that run's values. Crossing-vs-eating runs only the route the mechanism
+    is not, and measures both routes' allocations itself.
     """
     allocation = mechanism.run(instance)
     matrix = value_matrix(instance, allocation)
@@ -430,20 +422,11 @@ def verify_reports(
         for sigma in permutations(range(instance.n)):
             if sigma != tuple(range(instance.n)):
                 reports.append(check_anonymity(mechanism, instance, sigma, values))
-    if mechanism.name == "cake2":
-        eating, _ = simulate_eating(instance)
-        reports.extend(
-            check_crossing_vs_eating(
-                instance, allocation, eating, values_crossing=values
-            )
-        )
-    elif mechanism.name == "cake2-eating":
-        crossing = allocate_cake2(instance)
-        reports.extend(
-            check_crossing_vs_eating(
-                instance, crossing, allocation, values_eating=values
-            )
-        )
+    if mechanism.name in ("cake2", "cake2-eating"):
+        by_eating = mechanism.name == "cake2-eating"
+        other = allocate_cake2(instance) if by_eating else simulate_eating(instance)[0]
+        routes = (other, allocation) if by_eating else (allocation, other)
+        reports.extend(check_crossing_vs_eating(instance, *routes))
     if instance_b is not None:
         reports.append(
             check_position_oblivious(mechanism, instance, instance_b, values)

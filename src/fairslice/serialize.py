@@ -46,6 +46,13 @@ def parse_instance(document: bytes | str) -> Instance:
         agent_id = agent.get("id")
         if not isinstance(agent_id, str) or not agent_id:
             raise ParseError(f"agent #{position + 1} needs a non-empty string id")
+        try:
+            agent_id.encode()
+        except UnicodeEncodeError:
+            # a lone surrogate parses from JSON but cannot be written out
+            raise ParseError(
+                f"agent {echo(agent_id)}: id is not valid Unicode"
+            ) from None
         raw = agent.get("intervals")
         if not isinstance(raw, list):
             raise ParseError(f"agent {echo(agent_id)}: intervals must be a list")
@@ -110,8 +117,6 @@ def to_jsonable(value: Any) -> Any:
         return {str(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [to_jsonable(v) for v in value]
-    if isinstance(value, frozenset):
-        return sorted(to_jsonable(v) for v in value)
     raise FairsliceError(f"cannot serialize {type(value).__name__}")
 
 

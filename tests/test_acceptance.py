@@ -55,7 +55,7 @@ def _verdict(num, ok, detail):
 def prefix_sweeps():
     """All prefix instances for n in 2..4 at D=8, both mechanisms.
 
-    Used by criteria 3 and 4; computed once (about 20 seconds).
+    Used by criteria 3 and 4; computed once (about 5 seconds on 2 CPUs).
     """
     out = {}
     for name in ("prefix-cake", "prefix-chore"):

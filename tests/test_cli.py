@@ -869,6 +869,25 @@ class TestUsageErrors:
             'expected "p/q" or a decimal string\n'
         )
 
+    @pytest.mark.parametrize("command", ["allocate", "verify", "deviate"])
+    def test_agent_id_that_is_not_unicode(self, fx, capsys, command):
+        """A lone surrogate is valid JSON but cannot be written as UTF-8."""
+        path = fx["dir"] / "surrogate.json"
+        path.write_text(json.dumps({
+            "resource": "cake",
+            "agents": [
+                {"id": "\ud800", "intervals": []},
+                {"id": "b", "intervals": []},
+            ],
+        }))
+        code = main([command, "--mechanism", "cake2", "--instance", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "fairslice: error: agent '\\ud800': id is not valid Unicode\n"
+        )
+
     def test_grid_must_be_positive(self, fx, capsys):
         code = main(
             [

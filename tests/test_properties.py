@@ -851,32 +851,31 @@ class TestAllocationReports:
 class TestVerifyReports:
     @pytest.mark.parametrize("name", ["cake2", "cake2-eating"])
     @pytest.mark.parametrize("seed", range(3))
-    def test_crossing_vs_eating_measures_only_the_other_route(
+    def test_crossing_vs_eating_runs_only_the_other_route(
         self, monkeypatch, name, seed
     ):
-        """The battery passes its own route's values on, so only the other
-        route's allocation is measured, with the same reports as a check
-        that measures both."""
+        """The battery reuses its own run for its own route and runs the
+        other route once, with the same reports as a standalone check."""
         instance = random_two_agent_instance(Random(seed))
         mechanism = get_mechanism(name)
         own = mechanism.run(instance)
         if name == "cake2":
             crossing = own
-            eating = other = properties.simulate_eating(instance)[0]
+            eating = properties.simulate_eating(instance)[0]
         else:
-            crossing = other = MECH_CAKE2.run(instance)
+            crossing = MECH_CAKE2.run(instance)
             eating = own
         expected = properties.check_crossing_vs_eating(instance, crossing, eating)
-        measured = []
-        values = Allocation.values
+        runs = []
+        for route in ("simulate_eating", "allocate_cake2"):
 
-        def recording(allocation, inst):
-            measured.append(allocation)
-            return values(allocation, inst)
+            def recording(inst, run=getattr(properties, route), route=route):
+                runs.append(route)
+                return run(inst)
 
-        monkeypatch.setattr(Allocation, "values", recording)
+            monkeypatch.setattr(properties, route, recording)
         reports = properties.verify_reports(mechanism, instance)
-        assert measured == [other]
+        assert runs == ["simulate_eating" if name == "cake2" else "allocate_cake2"]
         assert tuple(reports[-2:]) == expected
 
 
