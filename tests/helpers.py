@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+import oracle
 from fairslice import Instance, IntervalSet, Resource, Valuation
 
 F = Fraction
@@ -74,7 +75,8 @@ def reverify(report, instance, allocation=None, mechanism=None, instance_b=None)
     """Re-check a violated report from nothing but its witness payload.
 
     Recomputes every number in the witness and the violated inequality
-    itself, independently of whichever checker produced it.
+    itself, independently of whichever checker produced it: membership
+    and union come from bench/oracle.py, not from IntervalSet.
     """
     assert report.verdict == "violated" and report.witness is not None
     w = report.witness
@@ -107,11 +109,11 @@ def reverify(report, instance, allocation=None, mechanism=None, instance_b=None)
         assert lo < hi
         mid = (F(lo) + F(hi)) / 2
         owner = ids.index(w["owner"])
-        assert allocation.pieces[owner].contains(mid)
+        assert oracle.member(allocation.pieces[owner].intervals, mid)
         interested = [
             ids[k]
             for k, v in enumerate(instance.valuations)
-            if v.desired.contains(mid)
+            if oracle.member(v.desired.intervals, mid)
         ]
         if chore:
             assert w["free_for"] == [a for a in ids if a not in interested]
@@ -121,10 +123,8 @@ def reverify(report, instance, allocation=None, mechanism=None, instance_b=None)
             assert interested and w["owner"] not in interested
 
     elif prop == "full-and-connected":
-        union = allocation.pieces[0]
-        for piece in allocation.pieces[1:]:
-            union = union.union(piece)
-        full = union == IntervalSet.prefix(F(1))
+        union = oracle.union(*(p.intervals for p in allocation.pieces))
+        full = union == [(F(0), F(1))]
         connected = all(len(p.intervals) <= 1 for p in allocation.pieces)
         assert (w["full"] == "holds") == full
         assert (w["connected"] == "holds") == connected

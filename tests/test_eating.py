@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given
 
-import oracles
+import oracle
 from fairslice import allocate_cake2, simulate_eating
 from fairslice.eating import _Sim
 from helpers import F, cake, iset, two_agent_instances
@@ -115,17 +115,16 @@ class TestTraceInvariants:
         agent 2 left of the meeting point and to agent 1 right of it."""
         sim = _Sim(inst.desired(0), inst.desired(1))
         sim.run()
-        combine = oracles.naive_combine
-        eaten1, eaten2 = (oracles.naive_canonical(runs) for runs in sim.eaten)
-        unclaimed = combine([(F(0), F(1))], combine(eaten1, eaten2, "union"), "difference")
-        to_a2 = combine(unclaimed, [(F(0), sim.meeting)], "intersection")
-        to_a1 = combine(unclaimed, to_a2, "difference")
+        eaten1, eaten2 = (oracle.canonical(runs) for runs in sim.eaten)
+        unclaimed = oracle.difference([(F(0), F(1))], oracle.union(eaten1, eaten2))
+        to_a2 = oracle.intersection(unclaimed, [(F(0), sim.meeting)])
+        to_a1 = oracle.difference(unclaimed, to_a2)
         alloc, trace = simulate_eating(inst)
         assert trace.meeting_point == sim.meeting
         assert [s.intervals for s in trace.leftovers] == [tuple(to_a1), tuple(to_a2)]
         assert [p.intervals for p in alloc.pieces] == [
-            tuple(combine(eaten1, to_a1, "union")),
-            tuple(combine(eaten2, to_a2, "union")),
+            tuple(oracle.union(eaten1, to_a1)),
+            tuple(oracle.union(eaten2, to_a2)),
         ]
 
     @given(two_agent_instances())

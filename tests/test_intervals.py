@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import oracles
+import oracle
 from fairslice import (
     EMPTY,
     FULL,
@@ -59,7 +59,7 @@ class TestCanonicalForm:
     @given(raw_interval_lists())
     def test_canonical_form_matches_midpoint_oracle(self, raw):
         assert IntervalSet.from_endpoints(raw).intervals == tuple(
-            oracles.naive_canonical(raw)
+            oracle.select(lambda m: oracle.member(raw, m), raw)
         )
 
 
@@ -84,14 +84,14 @@ class TestAlgebra:
         a = IntervalSet.from_endpoints(raw_a)
         b = IntervalSet.from_endpoints(raw_b)
         assert a.union(b).intervals == tuple(
-            oracles.naive_combine(raw_a, raw_b, "union")
+            oracle.select(
+                lambda m: oracle.member(raw_a, m) or oracle.member(raw_b, m),
+                raw_a,
+                raw_b,
+            )
         )
-        assert a.intersection(b).intervals == tuple(
-            oracles.naive_combine(raw_a, raw_b, "intersection")
-        )
-        assert a.difference(b).intervals == tuple(
-            oracles.naive_combine(raw_a, raw_b, "difference")
-        )
+        assert a.intersection(b).intervals == tuple(oracle.intersection(raw_a, raw_b))
+        assert a.difference(b).intervals == tuple(oracle.difference(raw_a, raw_b))
 
     @given(raw_interval_lists(), raw_interval_lists())
     def test_difference_complements_intersection(self, raw_a, raw_b):
@@ -118,8 +118,8 @@ class TestMeasure:
     def test_measure_intersection_matches_oracle(self, raw_a, raw_b):
         a = IntervalSet.from_endpoints(raw_a)
         b = IntervalSet.from_endpoints(raw_b)
-        assert a.measure_intersection(b) == oracles.naive_measure_intersection(
-            raw_a, raw_b
+        assert a.measure_intersection(b) == oracle.measure(
+            oracle.intersection(raw_a, raw_b)
         )
         assert a.measure_intersection(b) == a.intersection(b).total_length()
 
@@ -134,7 +134,7 @@ class TestMeasure:
         s = IntervalSet.from_endpoints(raw)
         points = sorted(points)
         assert s.prefix_measures(points) == tuple(
-            oracles.naive_measure_intersection(raw, [(F(0), p)]) for p in points
+            oracle.measure(oracle.intersection(raw, [(F(0), p)])) for p in points
         )
 
 
@@ -167,12 +167,12 @@ class TestAtoms:
     def test_atoms_match_midpoint_oracle(self, raws):
         sets = [IntervalSet.from_endpoints(raw) for raw in raws]
         walked = list(atoms(sets))
-        assert [(left, right) for left, right, _ in walked] == oracles.atoms(
+        assert [(left, right) for left, right, _ in walked] == oracle.atoms(
             *(s.intervals for s in sets)
         )
         for left, right, inside in walked:
             mid = (left + right) / 2
-            assert inside == tuple(oracles.contains(s.intervals, mid) for s in sets)
+            assert inside == tuple(oracle.member(s.intervals, mid) for s in sets)
 
 
 class TestGlued:

@@ -6,9 +6,11 @@ from random import Random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import oracles
+import oracle
 from fairslice import (
+    MECHANISMS,
     NotPrefixFormError,
     PreconditionUnmetError,
     Resource,
@@ -40,20 +42,7 @@ def atoms_of(instance, allocation):
     """Positive-length atoms refined at every valuation and piece endpoint."""
     raws = [v.desired.intervals for v in instance.valuations]
     raws += [p.intervals for p in allocation.pieces]
-    return oracles.atoms(*raws)
-
-
-def crossing_pieces(w1, w2):
-    """(w1 ∩ [0, x]) ∪ ([x, 1] minus w2) and its complement, by the oracles,
-    with x the leftmost balance point."""
-    raw1, raw2 = w1.intervals, w2.intervals
-    x = oracles.leftmost_root(raw1, raw2)
-    first = oracles.naive_combine(
-        oracles.naive_combine(raw1, [(F(0), x)], "intersection"),
-        oracles.naive_combine([(x, F(1))], raw2, "difference"),
-        "union",
-    )
-    return iset(*first), iset(*oracles.naive_combine([(F(0), F(1))], first, "difference"))
+    return oracle.atoms(*raws)
 
 
 def owner_of(allocation, lo, hi):
@@ -90,7 +79,7 @@ class TestCrossingPoint:
     @given(two_agent_instances())
     def test_matches_interpolation_oracle(self, inst):
         w1, w2 = (v.desired for v in inst.valuations)
-        assert crossing_point(w1, w2) == oracles.leftmost_root(
+        assert crossing_point(w1, w2) == oracle.crossing_root(
             w1.intervals, w2.intervals
         )
 
@@ -100,10 +89,16 @@ class TestCrossingPoint:
         x = crossing_point(w1, w2)
         raw1 = w1.intervals
         raw2 = w2.intervals
-        assert oracles.crossing_gap(raw1, raw2, x) == 0
-        for lo, hi in oracles.atoms(raw1, raw2):
+
+        def gap(t):
+            return oracle.value(raw1, oracle.segment(F(0), t)) - oracle.value(
+                raw2, oracle.segment(t, F(1))
+            )
+
+        assert gap(x) == 0
+        for lo, hi in oracle.atoms(raw1, raw2):
             if lo < x:
-                assert oracles.crossing_gap(raw1, raw2, lo) < 0
+                assert gap(lo) < 0
 
 
 class TestCrossingCake:
@@ -173,11 +168,6 @@ class TestCrossingCake:
     def test_deterministic(self, inst):
         assert allocate_cake2(inst) == allocate_cake2(inst)
 
-    @given(two_agent_instances())
-    def test_pieces_match_set_algebra_oracle(self, inst):
-        w1, w2 = (v.desired for v in inst.valuations)
-        assert allocate_cake2(inst).pieces == crossing_pieces(w1, w2)
-
 
 class TestChoreSwap:
     def test_frozen_swap(self):
@@ -192,12 +182,6 @@ class TestChoreSwap:
     def test_rejects_cake_instances(self):
         with pytest.raises(PreconditionUnmetError):
             allocate_chore2(cake(iset((0, 1)), iset((0, 1))))
-
-    @given(two_agent_instances(kind=Resource.CHORE))
-    def test_pieces_are_the_swapped_cake_split(self, inst):
-        w1, w2 = (v.desired for v in inst.valuations)
-        kept1, kept2 = crossing_pieces(w1, w2)
-        assert allocate_chore2(inst).pieces == (kept2, kept1)
 
     @given(two_agent_instances(kind=Resource.CHORE))
     def test_no_agent_prefers_the_other_piece(self, inst):
@@ -257,7 +241,7 @@ class TestPrefixCake:
     def _assert_matches_round_rule(xs):
         inst = prefix_instance(Resource.CAKE, xs)
         pieces = [list(piece.intervals) for piece in allocate_prefix_cake(inst).pieces]
-        assert pieces == oracles.naive_prefix_cake(xs), xs
+        assert pieces == oracle.prefix_cake_pieces(xs), xs
 
     @pytest.mark.parametrize("n, d", [(n, d) for n in range(1, 5) for d in range(1, 5)])
     def test_matches_round_rule_on_every_grid_profile(self, n, d):
@@ -371,7 +355,7 @@ class TestPrefixChore:
     def _assert_matches_set_algebra(xs):
         inst = prefix_instance(Resource.CHORE, xs)
         pieces = [list(piece.intervals) for piece in allocate_prefix_chore(inst).pieces]
-        assert pieces == oracles.naive_prefix_chore(xs)
+        assert pieces == oracle.prefix_chore_pieces(xs)
 
     @pytest.mark.parametrize("n, d", [(1, 6), (2, 6), (3, 6), (4, 4)])
     def test_matches_set_algebra_on_every_grid_profile(self, n, d):
@@ -524,10 +508,34 @@ class TestAgentCap:
         assert mechanism.run(inst).n == cap
 
 
-class TestRegistry:
-    def test_every_mechanism_is_listed_with_its_kind(self):
-        from fairslice import MECHANISMS
+def served_instances(mechanism):
+    """Instances of the shape the mechanism serves: its kind, its agent
+    count, and prefix reports where it takes only those."""
+    if mechanism.prefix_only:
+        n = mechanism.n_agents
+        return prefix_instances(mechanism.kind, min_n=n or 1, max_n=n or 5)
+    assert mechanism.n_agents == 2
+    return two_agent_instances(mechanism.kind)
 
+
+class TestRegistry:
+    @pytest.mark.parametrize("name", sorted(MECHANISMS))
+    @given(data=st.data())
+    def test_pieces_match_bench_oracle(self, name, data):
+        """Every mechanism's pieces against bench/oracle.py's rule for it;
+        for cake2-eating only the values, as that oracle gives the crossing
+        pieces for both two-agent cake routes."""
+        mechanism = MECHANISMS[name]
+        inst = data.draw(served_instances(mechanism))
+        desired = [list(v.desired.intervals) for v in inst.valuations]
+        pieces = [list(p.intervals) for p in mechanism.run(inst).pieces]
+        expected = oracle.pieces(name, desired)
+        if name == "cake2-eating":
+            assert oracle.values(desired, pieces) == oracle.values(desired, expected)
+        else:
+            assert pieces == expected
+
+    def test_every_mechanism_is_listed_with_its_kind(self):
         assert set(MECHANISMS) == {
             "cake2",
             "cake2-eating",

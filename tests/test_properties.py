@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 import oracles
 from fairslice import (
     Allocation,
@@ -95,8 +96,8 @@ class TestValueMatrix:
         matrix = properties.value_matrix(instance, allocation)
         assert matrix == [
             [
-                oracles.naive_measure_intersection(
-                    list(valuation.desired.intervals), list(piece.intervals)
+                oracle.measure(
+                    oracle.intersection(valuation.desired.intervals, piece.intervals)
                 )
                 for piece in allocation.pieces
             ]
@@ -427,14 +428,14 @@ def _pareto_reports(instance, allocation):
 
 def _probe_pareto(instance, allocation):
     """check_pareto restated with one midpoint probe per atom, on the
-    oracles' own atoms and membership test."""
+    oracle's own atoms and membership test."""
     n = instance.n
     desired = [v.desired.intervals for v in instance.valuations]
     pieces = [p.intervals for p in allocation.pieces]
-    for left, right in oracles.atoms(*desired, *pieces):
+    for left, right in oracle.atoms(*desired, *pieces):
         mid = (left + right) / 2
-        owner = next(j for j, p in enumerate(pieces) if oracles.contains(p, mid))
-        wanting = [i for i in range(n) if oracles.contains(desired[i], mid)]
+        owner = next(j for j, p in enumerate(pieces) if oracle.member(p, mid))
+        wanting = [i for i in range(n) if oracle.member(desired[i], mid)]
         if instance.kind is Resource.CHORE:
             if len(wanting) < n and owner in wanting:
                 witness = {"atom": (left, right), "owner": instance.ids[owner]}

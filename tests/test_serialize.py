@@ -3,10 +3,13 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairslice import (
     DuplicateAgentIdError,
+    FairsliceError,
+    Instance,
     OutOfRangeError,
     ParseError,
     Resource,
@@ -26,6 +29,49 @@ from helpers import F, cake, iset, two_agent_instances
 
 def doc_bytes(doc):
     return json.dumps(doc).encode()
+
+
+# lone surrogates parse from JSON text but cannot be encoded; 5,000 digits
+# are past CPython's limit on the digits of an int read from a string
+SURROGATES = st.text(st.characters(categories=["Cs"]), min_size=1, max_size=3)
+LONG_DIGITS = st.sampled_from("123456789").map(lambda digit: digit * 5000)
+LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8)
+    | SURROGATES
+    | LONG_DIGITS
+    | st.sampled_from(["3/2", "1/0", "-1", "2/4/6", " 1/2 "])
+)
+JSON_VALUES = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["resource", "agents", "id", "intervals"]) | st.text(max_size=8),
+        children,
+        max_size=4,
+    ),
+    max_leaves=20,
+)
+# documents shaped like an instance, so that inputs reach every check
+ENDPOINTS = st.sampled_from(["0", "1/3", "1/2", "0.25", "1", 0, 1]) | LEAVES
+AGENTS = st.fixed_dictionaries(
+    {
+        "id": st.text(min_size=1, max_size=4) | SURROGATES | JSON_VALUES,
+        "intervals": st.lists(
+            st.lists(ENDPOINTS, min_size=2, max_size=2) | JSON_VALUES, max_size=3
+        )
+        | JSON_VALUES,
+    }
+)
+DOCUMENTS = JSON_VALUES | st.fixed_dictionaries(
+    {
+        "resource": st.sampled_from(["cake", "chore"]) | JSON_VALUES,
+        "agents": st.lists(AGENTS, min_size=1, max_size=3) | JSON_VALUES,
+    }
+)
 
 
 class TestParseInstance:
@@ -134,6 +180,18 @@ class TestParseInstance:
                     }
                 )
             )
+
+
+    @given(st.binary() | DOCUMENTS.map(json.dumps))
+    @settings(max_examples=500)
+    def test_any_input_parses_or_fails_with_one_short_line(self, document):
+        try:
+            parsed = parse_instance(document)
+        except FairsliceError as exc:
+            message = str(exc)
+            assert "\n" not in message and len(message) <= 300, message
+        else:
+            assert isinstance(parsed, Instance)
 
 
 class TestRoundTrips:
