@@ -23,6 +23,7 @@ from .mechanisms import (
     MECHANISMS,
     MechanismInfo,
     allocate_cake2,
+    allocate_cake2_eating,
     allocate_chore2,
     allocate_connected_baseline,
     allocate_cut_and_choose,
@@ -32,7 +33,7 @@ from .mechanisms import (
     get_mechanism,
     prefix_endpoint,
 )
-from .eating import EatingEvent, EatingTrace, allocate_cake2_eating, simulate_eating
+from .eating import EatingEvent, EatingTrace, simulate_eating
 from .properties import (
     PropertyReport,
     check_anonymity,

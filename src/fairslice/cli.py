@@ -233,10 +233,6 @@ def _cmd_reproduce(config: argparse.Namespace, out) -> int:
 
 def _cmd_enumerate(config: argparse.Namespace, out) -> int:
     mechanism = get_mechanism(config.mechanism)
-    if mechanism.n_agents not in (None, config.n):
-        raise FairsliceError(
-            f"{mechanism.name} serves {mechanism.n_agents} agents, not {config.n}"
-        )
     machine = config.format == "machine"
     instances = 0
     broken_total = 0
@@ -289,10 +285,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if getattr(config, "grid", 1) < 1:
-            raise FairsliceError("--grid must be at least 1")
-        if config.command == "enumerate" and config.n < 1:
-            raise FairsliceError("--n must be at least 1")
         return _COMMANDS[config.command](config, sys.stdout)
     except (FairsliceError, OSError) as exc:
         print(f"fairslice: error: {exc}", file=sys.stderr)

@@ -29,9 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionUnmetError
 from .intervals import ONE, ZERO, IntervalSet, atoms, glued
-from .model import Allocation, Instance, Resource
+from .model import Allocation, Instance, Resource, require
 
 
 @dataclass(frozen=True)
@@ -195,12 +194,7 @@ class _Sim:
 
 def simulate_eating(instance: Instance) -> tuple[Allocation, EatingTrace]:
     """Run the race and return both the allocation and the full trace."""
-    if instance.kind is not Resource.CAKE:
-        raise PreconditionUnmetError("the eating race divides cakes only")
-    if instance.n != 2:
-        raise PreconditionUnmetError(
-            f"the eating race serves exactly 2 agents, instance has {instance.n}"
-        )
+    require(instance, Resource.CAKE, 2)
     sim = _Sim(instance.desired(0), instance.desired(1))
     sim.run()
     eaten = [IntervalSet.from_endpoints(runs) for runs in sim.eaten]
@@ -223,7 +217,3 @@ def simulate_eating(instance: Instance) -> tuple[Allocation, EatingTrace]:
         tuple(sim.events), sim.meeting, (glued(leftovers[0]), glued(leftovers[1]))
     )
     return allocation, trace
-
-
-def allocate_cake2_eating(instance: Instance) -> Allocation:
-    return simulate_eating(instance)[0]

@@ -16,9 +16,15 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import MalformedIntervalError, OutOfRangeError
+from .rationals import echo_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def _shown(left: Fraction, right: Fraction) -> str:
+    """An interval for an error message, long endpoints shortened."""
+    return f"[{echo_rational(left)}, {echo_rational(right)}]"
 
 
 @dataclass(frozen=True)
@@ -42,10 +48,10 @@ class IntervalSet:
         prev_right: Fraction | None = None
         for left, right in self.intervals:
             if not (ZERO <= left and right <= ONE):
-                raise OutOfRangeError(f"interval [{left}, {right}] leaves [0, 1]")
+                raise OutOfRangeError(f"interval {_shown(left, right)} leaves [0, 1]")
             if not left < right:
                 raise MalformedIntervalError(
-                    f"canonical intervals must have left < right, got [{left}, {right}]"
+                    f"canonical intervals must have left < right, got {_shown(left, right)}"
                 )
             if prev_right is not None and not prev_right < left:
                 raise MalformedIntervalError(
@@ -66,11 +72,10 @@ class IntervalSet:
         for pair in pairs:
             left, right = pair
             if not ZERO <= left <= right <= ONE:
+                shown = _shown(left, right)
                 if not (ZERO <= left <= ONE and ZERO <= right <= ONE):
-                    raise OutOfRangeError(f"interval [{left}, {right}] leaves [0, 1]")
-                raise MalformedIntervalError(
-                    f"interval [{left}, {right}] has left > right"
-                )
+                    raise OutOfRangeError(f"interval {shown} leaves [0, 1]")
+                raise MalformedIntervalError(f"interval {shown} has left > right")
             if left < right:
                 cleaned.append((left, right))
         if len(cleaned) < 2:

@@ -1,13 +1,16 @@
 """Division mechanisms.
 
-Every mechanism is a pure function Instance -> Allocation. A small registry
-describes each one: which resource kind it serves, how many agents, whether
-reports must be prefixes [0, x], whether it may discard resource, and which
-guarantees it claims (the verification harness holds it to exactly these).
+Every mechanism is a pure function Instance -> Allocation, registered where
+it is defined by the `register` decorator. The decorator states what the
+rule serves: its resource kind, its agent count or agent cap, and whether
+reports must be prefixes [0, x]. It also states which guarantees the rule
+claims, and the verification harness holds it to exactly these. The function
+it returns refuses, through `model.require`, every instance outside that
+domain before the rule runs, so every caller meets the same check.
 
 The two-agent cake mechanism here is the crossing form; the independent
-eating-simulation form lives in fairslice.eating and is registered under
-its own name so the two routes can be checked against each other.
+eating-simulation form lives in fairslice.eating and is registered here
+under its own name so the two routes can be checked against each other.
 """
 
 from __future__ import annotations
@@ -15,18 +18,69 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, Iterable
 
-from .eating import allocate_cake2_eating
-from .errors import (
-    NotPrefixFormError,
-    PreconditionUnmetError,
-    SearchSpaceTooLargeError,
-)
+from .eating import simulate_eating
+from .errors import NotPrefixFormError, PreconditionUnmetError
 from .intervals import ONE, ZERO, IntervalSet, atoms, glued
-from .model import Allocation, Instance, Resource
+from .model import Allocation, Instance, Resource, require
 from .rationals import format_intervals
+
+
+# -- registry -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MechanismInfo:
+    """What a mechanism serves and what it promises."""
+
+    name: str
+    kind: Resource
+    n_agents: int | None  # None = any number up to the mechanism's cap
+    prefix_only: bool
+    guarantees: frozenset[str]
+    run: Callable[[Instance], Allocation]
+
+
+MECHANISMS: dict[str, MechanismInfo] = {}
+
+_EXACT_GUARANTEES = frozenset(
+    {"envy-free", "proportional", "pareto", "full", "truthful"}
+)
+
+
+def register(
+    name: str, kind: Resource, guarantees: Iterable[str], *,
+    n_agents: int | None = None, cap: int | None = None, prefix_only: bool = False,
+) -> Callable:
+    """Register the decorated rule as `name` and return it checked: the
+    returned function refuses, by `require`, any instance of another kind,
+    of another agent count than `n_agents` or of more agents than `cap`,
+    before the rule runs."""
+
+    def decorate(rule: Callable) -> Callable:
+        @wraps(rule)
+        def checked(instance: Instance) -> Allocation:
+            require(instance, kind, n_agents, cap)
+            return rule(instance)
+
+        MECHANISMS[name] = MechanismInfo(
+            name, kind, n_agents, prefix_only, frozenset(guarantees), checked
+        )
+        return checked
+
+    return decorate
+
+
+def get_mechanism(name: str) -> MechanismInfo:
+    try:
+        return MECHANISMS[name]
+    except KeyError:
+        raise PreconditionUnmetError(
+            f"unknown mechanism {name!r}; known: {', '.join(sorted(MECHANISMS))}"
+        ) from None
 
 
 # -- two-agent cake: crossing form --------------------------------------
@@ -70,24 +124,6 @@ PREFIX_CAKE_AGENT_CAP = 400
 PREFIX_CHORE_AGENT_CAP = 800
 
 
-def _require(
-    instance: Instance, kind: Resource, n: int | None, cap: int | None = None
-) -> None:
-    if instance.kind is not kind:
-        raise PreconditionUnmetError(
-            f"mechanism serves {kind.value}s, instance is a {instance.kind.value}"
-        )
-    if n is not None and instance.n != n:
-        raise PreconditionUnmetError(
-            f"mechanism serves exactly {n} agents, instance has {instance.n}"
-        )
-    if cap is not None and instance.n > cap:
-        raise SearchSpaceTooLargeError(
-            f"mechanism serves at most {cap} agents, "
-            f"instance has {instance.n}"
-        )
-
-
 def _cake2_pieces(w1: IntervalSet, w2: IntervalSet) -> tuple[IntervalSet, IntervalSet]:
     x = crossing_point(w1, w2)
     a1: list[tuple[Fraction, Fraction]] = []
@@ -97,20 +133,27 @@ def _cake2_pieces(w1: IntervalSet, w2: IntervalSet) -> tuple[IntervalSet, Interv
     return glued(a1), glued(a2)
 
 
+@register("cake2", Resource.CAKE, _EXACT_GUARANTEES, n_agents=2)
 def allocate_cake2(instance: Instance) -> Allocation:
     """Two-agent cake: agent 1 keeps what she wants left of the crossing
     point plus what agent 2 does not want right of it; agent 2 takes the
     rest. Truthful, envy-free, proportional, Pareto optimal."""
-    _require(instance, Resource.CAKE, 2)
     a1, a2 = _cake2_pieces(instance.desired(0), instance.desired(1))
     return Allocation((a1, a2))
 
 
+@register("cake2-eating", Resource.CAKE, _EXACT_GUARANTEES, n_agents=2)
+def allocate_cake2_eating(instance: Instance) -> Allocation:
+    """The two-agent cake split as the eating race of fairslice.eating
+    makes it: the independent route to allocate_cake2's values."""
+    return simulate_eating(instance)[0]
+
+
+@register("chore2", Resource.CHORE, _EXACT_GUARANTEES, n_agents=2)
 def allocate_chore2(instance: Instance) -> Allocation:
     """Two-agent chore: divide the reported sets as if they were a cake,
     then swap the pieces, so each agent carries what the *other* would
     have kept."""
-    _require(instance, Resource.CHORE, 2)
     a1, a2 = _cake2_pieces(instance.desired(0), instance.desired(1))
     return Allocation((a2, a1))
 
@@ -145,6 +188,8 @@ def _min_prefix_point(s: IntervalSet, target: Fraction) -> Fraction:
     raise PreconditionUnmetError(f"set of length {acc} cannot contain {target}")
 
 
+@register("prefix-cake", Resource.CAKE, _EXACT_GUARANTEES,
+          cap=PREFIX_CAKE_AGENT_CAP, prefix_only=True)
 def allocate_prefix_cake(instance: Instance) -> Allocation:
     """N-agent cake for prefix reports [0, x_i].
 
@@ -161,7 +206,6 @@ def allocate_prefix_cake(instance: Instance) -> Allocation:
     before the next round; if that would leave no one, the last of them
     stays to take the remainder.
     """
-    _require(instance, Resource.CAKE, None, PREFIX_CAKE_AGENT_CAP)
     xs = prefix_endpoints(instance)
     segments: list[list[tuple[Fraction, Fraction]]] = [[] for _ in xs]
     active = list(range(instance.n))
@@ -185,6 +229,9 @@ def allocate_prefix_cake(instance: Instance) -> Allocation:
     return Allocation(tuple(glued(segs) for segs in segments))
 
 
+@register("prefix-chore", Resource.CHORE,
+          {"proportional", "pareto", "full", "truthful"},
+          cap=PREFIX_CHORE_AGENT_CAP, prefix_only=True)
 def allocate_prefix_chore(instance: Instance) -> Allocation:
     """N-agent chore for prefix reports [0, x_i].
 
@@ -200,7 +247,6 @@ def allocate_prefix_chore(instance: Instance) -> Allocation:
     handed to the lowest such j, who carries them at zero burden. The last
     agent takes whatever is left.
     """
-    _require(instance, Resource.CHORE, None, PREFIX_CHORE_AGENT_CAP)
     xs = prefix_endpoints(instance)
     n = instance.n
     # sorted once per run: her own x_i never lies strictly inside her
@@ -251,11 +297,12 @@ def halving_point(desired: IntervalSet) -> Fraction:
     return _min_prefix_point(desired, desired.total_length() / 2)
 
 
+@register("cut-and-choose", Resource.CAKE, {"envy-free", "proportional", "full"},
+          n_agents=2)
 def allocate_cut_and_choose(instance: Instance) -> Allocation:
     """Agent 1 cuts at the point halving her reported value; agent 2 takes
     the half she values more, the left one on ties. Fair but manipulable:
     the cutter can shift the cut by misreporting."""
-    _require(instance, Resource.CAKE, 2)
     m = halving_point(instance.desired(0))
     left, right = IntervalSet.prefix(m), IntervalSet.segment(m, ONE)
     v2 = instance.valuations[1]
@@ -264,12 +311,13 @@ def allocate_cut_and_choose(instance: Instance) -> Allocation:
     return Allocation((left, right))
 
 
+@register("connected-baseline", Resource.CAKE, {"envy-free", "connected"},
+          n_agents=2, prefix_only=True)
 def allocate_connected_baseline(instance: Instance) -> Allocation:
     """Two-agent cake with connected pieces, made truthful by discarding
     cake: give the agent with the larger claim the right half of her
     prefix and the other agent everything left of it (or mirrored), and
     throw the rest away."""
-    _require(instance, Resource.CAKE, 2)
     x1, x2 = prefix_endpoints(instance)
     if x1 >= x2:
         a1 = IntervalSet.segment(x1 / 2, x1)
@@ -278,85 +326,3 @@ def allocate_connected_baseline(instance: Instance) -> Allocation:
         a1 = IntervalSet.prefix(x2 / 2)
         a2 = IntervalSet.segment(x2 / 2, x2)
     return Allocation((a1, a2), free_disposal=True)
-
-
-# -- registry -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MechanismInfo:
-    """What a mechanism serves and what it promises."""
-
-    name: str
-    kind: Resource
-    n_agents: int | None  # None = any number up to the mechanism's cap
-    prefix_only: bool
-    guarantees: frozenset[str]
-    run: Callable[[Instance], Allocation]
-
-
-_EXACT_GUARANTEES = frozenset(
-    {"envy-free", "proportional", "pareto", "full", "truthful"}
-)
-
-
-MECHANISMS: dict[str, MechanismInfo] = {
-    m.name: m
-    for m in (
-        MechanismInfo(
-            "cake2", Resource.CAKE, 2, False, _EXACT_GUARANTEES, allocate_cake2
-        ),
-        MechanismInfo(
-            "cake2-eating",
-            Resource.CAKE,
-            2,
-            False,
-            _EXACT_GUARANTEES,
-            allocate_cake2_eating,
-        ),
-        MechanismInfo(
-            "chore2", Resource.CHORE, 2, False, _EXACT_GUARANTEES, allocate_chore2
-        ),
-        MechanismInfo(
-            "prefix-cake",
-            Resource.CAKE,
-            None,
-            True,
-            _EXACT_GUARANTEES,
-            allocate_prefix_cake,
-        ),
-        MechanismInfo(
-            "prefix-chore",
-            Resource.CHORE,
-            None,
-            True,
-            frozenset({"proportional", "pareto", "full", "truthful"}),
-            allocate_prefix_chore,
-        ),
-        MechanismInfo(
-            "cut-and-choose",
-            Resource.CAKE,
-            2,
-            False,
-            frozenset({"envy-free", "proportional", "full"}),
-            allocate_cut_and_choose,
-        ),
-        MechanismInfo(
-            "connected-baseline",
-            Resource.CAKE,
-            2,
-            True,
-            frozenset({"envy-free", "connected"}),
-            allocate_connected_baseline,
-        ),
-    )
-}
-
-
-def get_mechanism(name: str) -> MechanismInfo:
-    try:
-        return MECHANISMS[name]
-    except KeyError:
-        raise PreconditionUnmetError(
-            f"unknown mechanism {name!r}; known: {', '.join(sorted(MECHANISMS))}"
-        ) from None

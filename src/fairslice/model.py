@@ -21,6 +21,8 @@ from typing import Sequence
 from .errors import (
     DuplicateAgentIdError,
     MalformedIntervalError,
+    PreconditionUnmetError,
+    SearchSpaceTooLargeError,
     ShapeMismatchError,
 )
 from .intervals import ONE, ZERO, IntervalSet
@@ -98,6 +100,25 @@ class Instance:
             self.kind,
             tuple(self.valuations[j] for j in sigma),
             tuple(self.ids[j] for j in sigma),
+        )
+
+
+def require(
+    instance: Instance, kind: Resource, n: int | None = None, cap: int | None = None
+) -> None:
+    """Refuse an instance outside a rule's domain: another resource kind,
+    an agent count other than `n`, or more agents than `cap`."""
+    if instance.kind is not kind:
+        raise PreconditionUnmetError(
+            f"mechanism serves {kind.value}s, instance is a {instance.kind.value}"
+        )
+    if n is not None and instance.n != n:
+        raise PreconditionUnmetError(
+            f"mechanism serves exactly {n} agents, instance has {instance.n}"
+        )
+    if cap is not None and instance.n > cap:
+        raise SearchSpaceTooLargeError(
+            f"mechanism serves at most {cap} agents, instance has {instance.n}"
         )
 
 

@@ -437,14 +437,14 @@ def verify_reports(
 # -- truthfulness -----------------------------------------------------------
 
 
-def _require_grid(grid_denominator: int) -> None:
+def require_grid(grid_denominator: int) -> None:
     if grid_denominator < 1:
         raise PreconditionUnmetError("grid denominator must be at least 1")
 
 
 def grid_points(grid_denominator: int) -> tuple[Fraction, ...]:
     """The grid k/D, k = 0..D."""
-    _require_grid(grid_denominator)
+    require_grid(grid_denominator)
     return tuple(Fraction(k, grid_denominator) for k in range(grid_denominator + 1))
 
 
@@ -454,7 +454,7 @@ def candidate_reports(family: str, grid_denominator: int) -> tuple[IntervalSet, 
     built once per (family, D) since every search on that grid scans the
     same list. This order is the search's tie-break: among equally good
     reports the first one wins."""
-    _require_grid(grid_denominator)
+    require_grid(grid_denominator)
     if family == "prefix":
         if grid_denominator > PREFIX_GRID_CAP:
             raise SearchSpaceTooLargeError(

@@ -36,6 +36,13 @@ def echo(value: object) -> str:
     return f"{text[:_ECHO_LIMIT]!r}... ({len(text)} characters)"
 
 
+def echo_rational(value: Fraction) -> str:
+    """str(value) for an error message, or its echo when that is longer
+    than _ECHO_LIMIT characters."""
+    text = str(value)
+    return text if len(text) <= _ECHO_LIMIT else echo(text)
+
+
 def parse_rational(value: object) -> Fraction:
     """Turn JSON-ish input into an exact Fraction.
 
@@ -51,8 +58,6 @@ def parse_rational(value: object) -> Fraction:
             f"floats are not accepted (got {value!r}); write the value as a "
             f'string like "1/3" or "0.25"'
         )
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, str):
         text = value.strip()
         if not _RATIONAL_TEXT.match(text):

@@ -41,7 +41,7 @@ from math import lcm
 from random import Random
 from typing import Iterator, Sequence
 
-from .errors import SearchSpaceTooLargeError
+from .errors import PreconditionUnmetError, SearchSpaceTooLargeError
 from .intervals import IntervalSet
 from .mechanisms import MechanismInfo, get_mechanism
 from .model import Instance, Resource, Valuation, default_ids
@@ -51,6 +51,7 @@ from .properties import (
     candidate_reports,
     grid_points,
     ordered_map,
+    require_grid,
     summarize_deviation_search,
 )
 from .rationals import format_rational
@@ -140,8 +141,18 @@ def sweep_prefix_grid(
     """Yield (record, broken-guarantees) per instance, in instance order.
 
     The first record comes once every profile has run. Records share their
-    report dicts with each other, so treat them as read-only.
+    report dicts with each other, so treat them as read-only. D < 1, n < 1,
+    an n the mechanism does not serve and more than SWEEP_PROFILE_CAP
+    profiles are refused before any profile is built.
     """
+    mechanism = get_mechanism(mechanism_name)
+    require_grid(grid_denominator)
+    if n < 1:
+        raise PreconditionUnmetError(f"prefix sweep needs at least 1 agent, not {n}")
+    if mechanism.n_agents not in (None, n):
+        raise PreconditionUnmetError(
+            f"{mechanism.name} serves {mechanism.n_agents} agents, not {n}"
+        )
     count = 1
     for _ in range(n):
         count *= grid_denominator + 1
@@ -150,8 +161,7 @@ def sweep_prefix_grid(
                 f"prefix sweep at n={n}, D={grid_denominator} has "
                 f"{grid_denominator + 1}^{n} profiles; cap is {SWEEP_PROFILE_CAP}"
             )
-    mechanism = get_mechanism(mechanism_name)
-    candidates = candidate_reports("prefix", grid_denominator)  # rejects D < 1
+    candidates = candidate_reports("prefix", grid_denominator)
     valuations = tuple(Valuation(report) for report in candidates)
     points = grid_points(grid_denominator)
     profiles = list(itertools.product(range(grid_denominator + 1), repeat=n))

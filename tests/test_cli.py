@@ -1,7 +1,10 @@
 """End-to-end command line behavior through ``main``."""
 
+import contextlib
 import dataclasses
+import fractions
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +12,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fairslice
 from fairslice import get_mechanism, mechanisms, properties, sweeps
@@ -122,6 +127,31 @@ class TestAllocate:
         )
         assert code == 2
         assert "--trace requires" in capsys.readouterr().err
+
+    def test_empty_piece_text(self, fx, capsys):
+        path = fx["dir"] / "empty.json"
+        path.write_text(json.dumps({
+            "resource": "cake",
+            "agents": [
+                {"id": "a1", "intervals": []},
+                {"id": "a2", "intervals": [["0", "1"]]},
+            ],
+        }))
+        code = main(["allocate", "--mechanism", "prefix-cake", "--instance", str(path)])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "a1: (nothing)  value 0/1\n" "a2: [0/1, 1/1]  value 1/1\n"
+        )
+
+    def test_eating_trace_refuses_chores(self, fx, capsys):
+        path = fx["dir"] / "chore.json"
+        path.write_text(json.dumps({**UNEVEN, "resource": "chore"}))
+        code = main(["allocate", "--mechanism", "cake2-eating", "--instance", str(path),
+                     "--trace"])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "fairslice: error: mechanism serves cakes, instance is a chore\n"
+        )
 
 
 class TestVerify:
@@ -786,6 +816,61 @@ class TestEnumerate:
         )
         assert records[-1]["summary"]["guarantee_violations"] == 0
 
+    # Registry entries whose run ignores the reports and breaks a guarantee
+    # the entry claims, swept at n=2, D=1, whose profiles are the claims
+    # (0, 0), (0, 1), (1, 0) and (1, 1).
+    BROKEN = [
+        # prefix-cake claims full, envy-free and proportional: [1/2, 1] is
+        # thrown away, and a2 gets nothing, which it minds when it claims 1
+        (
+            "prefix-cake",
+            lambda instance: fairslice.Allocation(
+                (fairslice.IntervalSet.prefix(fractions.Fraction(1, 2)),
+                 fairslice.EMPTY),
+                free_disposal=True,
+            ),
+            [["full"], ["full", "envy-free", "proportional"], ["full"],
+             ["full", "envy-free", "proportional"]],
+            {"full-and-connected": 4, "envy-free": 2, "proportional": 2},
+        ),
+        # connected-baseline claims connected pieces, not Pareto optimality:
+        # alternating quarters break the one everywhere, the other only
+        # where one agent wants nothing, and only the first counts
+        (
+            "connected-baseline",
+            lambda instance: fairslice.Allocation(tuple(
+                fairslice.IntervalSet.from_endpoints(
+                    [(fractions.Fraction(k, 4), fractions.Fraction(k + 1, 4))
+                     for k in (i, i + 2)]
+                )
+                for i in (0, 1)
+            )),
+            [["connected"]] * 4,
+            {"full-and-connected": 4, "pareto": 2},
+        ),
+    ]
+
+    @pytest.mark.parametrize("name, run, broken, flagged", BROKEN,
+                             ids=["full", "connected"])
+    def test_broken_guarantees_are_counted(
+        self, capsys, monkeypatch, name, run, broken, flagged
+    ):
+        monkeypatch.setitem(
+            mechanisms.MECHANISMS, name, dataclasses.replace(get_mechanism(name), run=run)
+        )
+        args = ["enumerate", "--mechanism", name, "--n", "2", "--grid", "1"]
+        assert main(args) == 1
+        xs = [["0/1", "0/1"], ["0/1", "1/1"], ["1/1", "0/1"], ["1/1", "1/1"]]
+        total = sum(map(len, broken))
+        assert capsys.readouterr() == ("".join(
+            f"instance {k} xs={xs[k]} breaks {', '.join(names)}\n"
+            for k, names in enumerate(broken) if names
+        ) + f"4 instances, {total} guarantee violations\n", "")
+        assert main([*args, "--format", "machine"]) == 1
+        summary = json.loads(capsys.readouterr().out.split("\n")[-2])["summary"]
+        assert summary["guarantee_violations"] == total
+        assert summary["flagged"] == flagged
+
 
 class TestUsageErrors:
     def test_unknown_mechanism(self, fx, capsys):
@@ -901,7 +986,7 @@ class TestUsageErrors:
             ]
         )
         assert code == 2
-        assert "--grid must be at least 1" in capsys.readouterr().err
+        assert "grid denominator must be at least 1" in capsys.readouterr().err
 
     def test_subset_search_cap(self, fx, capsys):
         code = main(
@@ -1072,6 +1157,20 @@ class TestUsageErrors:
                 ]},
                 "unknown agent 'zz'; the instance has 2999 agents",
             ),
+            (
+                ["verify"],
+                {"resource": "cake", "agents": [
+                    {"id": "a1", "intervals": [["0", "9" * 400]]}
+                ]},
+                f"interval [0, {'9' * 40!r}... (400 characters)] leaves [0, 1]",
+            ),
+            (
+                ["verify"],
+                {"resource": "cake", "agents": [
+                    {"id": "a1", "intervals": [["-" + "9" * 300, "0"]]}
+                ]},
+                f"interval [{'-' + '9' * 39!r}... (301 characters), 0] leaves [0, 1]",
+            ),
         ],
     )
     def test_outside_text_echoed_in_part(self, fx, capsys, args, document, expected):
@@ -1114,7 +1213,7 @@ class TestUsageErrors:
     def test_enumerate_needs_agents(self, capsys):
         code = main(["enumerate", "--mechanism", "prefix-cake", "--n", "0"])
         assert code == 2
-        assert "--n must be at least 1" in capsys.readouterr().err
+        assert "prefix sweep needs at least 1 agent, not 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name", [m.name for m in mechanisms.MECHANISMS.values() if m.n_agents == 2]
@@ -1250,3 +1349,107 @@ class TestParserReuse:
         assert [code for code, _, _ in fresh] == codes
         for (_, out, _), grid in zip(fresh, grids):
             assert grid is None or grid in out
+
+
+# Sets for fuzzed instance files: prefixes, which every mechanism accepts,
+# and two sets that only the non-prefix mechanisms accept.
+PREFIX_SETS = [[], [["0", "1"]], [["0", "1/2"]], [["0", "1/3"]]]
+OTHER_SETS = [[["1/4", "3/4"]], [["0", "1/4"], ["1/2", "1"]]]
+
+
+@st.composite
+def fuzz_case(draw):
+    """An argument list argparse accepts, for any of the five commands, and
+    the two instance documents its "{a}" and "{b}" paths stand for. Half
+    the documents fit the mechanism's kind, agent count and report form.
+    Flag values include non-positive --grid and --n, unknown --agent ids
+    and prefix-only mechanisms with --family subsets. Workers stay in
+    {-1, 0, 1}, so no process starts, and sweeps and searches stay small."""
+    command = draw(st.sampled_from(
+        ["allocate", "verify", "deviate", "reproduce", "enumerate"]
+    ))
+    mechanism = mechanisms.MECHANISMS[
+        draw(st.sampled_from(sorted(mechanisms.MECHANISMS)))
+    ]
+
+    def document():
+        if draw(st.booleans()):
+            kind, n = mechanism.kind.value, mechanism.n_agents
+            sets = PREFIX_SETS if mechanism.prefix_only else PREFIX_SETS + OTHER_SETS
+        else:
+            kind = draw(st.sampled_from(["cake", "chore"]))
+            n, sets = None, PREFIX_SETS + OTHER_SETS
+        return {"resource": kind, "agents": [
+            {"id": f"a{i + 1}", "intervals": draw(st.sampled_from(sets))}
+            for i in range(n or draw(st.integers(1, 3)))
+        ]}
+
+    argv = [command, "--format", draw(st.sampled_from(["text", "machine"]))]
+    if command != "reproduce":
+        argv += ["--mechanism", mechanism.name]
+    if command in ("allocate", "verify", "deviate"):
+        argv += ["--instance", "{a}"]
+    if command == "allocate" and draw(st.booleans()):
+        argv.append("--trace")
+    if command == "verify" and draw(st.booleans()):
+        argv += ["--instance-b", "{b}"]
+    if command == "deviate":
+        family = draw(st.sampled_from([None, "prefix", "subsets"]))
+        if family is not None:
+            argv += ["--family", family]
+        argv.append(f"--grid={draw(st.integers(-1, 4 if family == 'prefix' else 5))}")
+        agent = draw(st.sampled_from([None, "a1", "a2", "a3", "zz"]))
+        if agent is not None:
+            argv += ["--agent", agent]
+    if command == "enumerate":
+        argv += [f"--n={draw(st.integers(-1, 3))}",
+                 f"--grid={draw(st.integers(-1, 4))}"]
+    if command in ("deviate", "enumerate"):
+        argv.append(f"--workers={draw(st.sampled_from([-1, 0, 1]))}")
+    return argv, [document(), document()]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+PREFIX_PAIR_DOCUMENTS = [
+    {"resource": "cake", "agents": [
+        {"id": "a1", "intervals": [["0", "1/2"]]},
+        {"id": "a2", "intervals": [["0", "1"]]},
+    ]}
+] * 2
+
+
+class TestFuzzMain:
+    @given(case=fuzz_case())
+    # the sweep and the search refuse these themselves, with no CLI check
+    @example(case=(["enumerate", "--mechanism", "prefix-cake", "--n=-1", "--grid=2"],
+                   PREFIX_PAIR_DOCUMENTS))
+    @example(case=(["enumerate", "--mechanism", "prefix-chore", "--n=0", "--grid=2"],
+                   PREFIX_PAIR_DOCUMENTS))
+    @example(case=(["enumerate", "--mechanism", "prefix-cake", "--n=2", "--grid=-1"],
+                   PREFIX_PAIR_DOCUMENTS))
+    @example(case=(["enumerate", "--mechanism", "cake2", "--n=3", "--grid=2"],
+                   PREFIX_PAIR_DOCUMENTS))
+    @example(case=(["deviate", "--mechanism", "cake2", "--instance", "{a}",
+                    "--grid=0"], PREFIX_PAIR_DOCUMENTS))
+    @settings(max_examples=500)
+    def test_any_command_exits_cleanly(self, fuzz_dir, case):
+        """Exit 0 or 1 with nothing on stderr, or exit 2 with one short
+        line; no exception escapes."""
+        argv, documents = case
+        paths = {}
+        for name, document in zip("ab", documents):
+            paths[name] = fuzz_dir / f"{name}.json"
+            paths[name].write_text(json.dumps(document))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([arg.format(**paths) for arg in argv])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith("fairslice: error: ")
+            assert err.getvalue().count("\n") == 1 and len(err.getvalue()) < 300
+        else:
+            assert err.getvalue() == ""

@@ -2,12 +2,13 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 
 import oracle
-from fairslice import allocate_cake2, simulate_eating
+from fairslice import PreconditionUnmetError, allocate_cake2, simulate_eating
 from fairslice.eating import _Sim
-from helpers import F, cake, iset, two_agent_instances
+from helpers import F, cake, chore, iset, two_agent_instances
 
 HALF = F(1, 2)
 
@@ -132,6 +133,23 @@ class TestTraceInvariants:
         alloc, _ = simulate_eating(inst)
         assert sum(p.total_length() for p in alloc.pieces) == 1
         assert alloc.pieces[0].union(alloc.pieces[1]) == iset((0, 1))
+
+
+class TestDomain:
+    """The race refuses, with `require`'s messages, what it cannot divide."""
+
+    def test_refuses_chores(self):
+        with pytest.raises(
+            PreconditionUnmetError, match="^mechanism serves cakes, instance is a chore$"
+        ):
+            simulate_eating(chore(iset((0, HALF)), iset((0, 1))))
+
+    def test_refuses_three_agents(self):
+        with pytest.raises(
+            PreconditionUnmetError,
+            match="^mechanism serves exactly 2 agents, instance has 3$",
+        ):
+            simulate_eating(cake(iset((0, 1)), iset((0, HALF)), iset((HALF, 1))))
 
 
 class TestAgreementWithCrossingForm:

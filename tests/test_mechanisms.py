@@ -555,3 +555,24 @@ class TestRegistry:
 
     def test_eating_route_is_registered_separately(self):
         assert get_mechanism("cake2-eating").run is not get_mechanism("cake2").run
+
+    @pytest.mark.parametrize("name", sorted(MECHANISMS))
+    def test_every_door_refuses_outside_the_domain(self, name):
+        """The registry's run is the module's function itself, checked by
+        `require`, so a direct call and a registry call both refuse the
+        other kind and, for a fixed-size rule, any other agent count."""
+        mechanism = MECHANISMS[name]
+        assert getattr(mechanisms, mechanism.run.__name__) is mechanism.run
+        other = Resource.CHORE if mechanism.kind is Resource.CAKE else Resource.CAKE
+        with pytest.raises(
+            PreconditionUnmetError,
+            match=f"^mechanism serves {mechanism.kind.value}s, instance is a {other.value}$",
+        ):
+            mechanism.run(prefix_instance(other, [HALF, 1]))
+        if mechanism.n_agents is not None:
+            for n in (1, 3):
+                with pytest.raises(
+                    PreconditionUnmetError,
+                    match=f"^mechanism serves exactly 2 agents, instance has {n}$",
+                ):
+                    mechanism.run(prefix_instance(mechanism.kind, [HALF] * n))

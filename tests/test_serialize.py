@@ -32,9 +32,15 @@ def doc_bytes(doc):
 
 
 # lone surrogates parse from JSON text but cannot be encoded; 5,000 digits
-# are past CPython's limit on the digits of an int read from a string
+# are past CPython's limit on the digits of an int read from a string, and
+# a few hundred parse to an endpoint outside [0, 1] or a long one inside it
 SURROGATES = st.text(st.characters(categories=["Cs"]), min_size=1, max_size=3)
-LONG_DIGITS = st.sampled_from("123456789").map(lambda digit: digit * 5000)
+LONG_DIGITS = st.builds(
+    lambda sign, digit, count: sign + digit * count,
+    st.sampled_from(["", "-", "0."]),
+    st.sampled_from("123456789"),
+    st.sampled_from([5000]) | st.integers(300, 600),
+)
 LEAVES = (
     st.none()
     | st.booleans()
@@ -56,7 +62,8 @@ JSON_VALUES = st.recursive(
     max_leaves=20,
 )
 # documents shaped like an instance, so that inputs reach every check
-ENDPOINTS = st.sampled_from(["0", "1/3", "1/2", "0.25", "1", 0, 1]) | LEAVES
+RATIONALS = st.sampled_from(["0", "1/3", "1/2", "0.25", "1", 0, 1]) | LONG_DIGITS
+ENDPOINTS = RATIONALS | LEAVES
 AGENTS = st.fixed_dictionaries(
     {
         "id": st.text(min_size=1, max_size=4) | SURROGATES | JSON_VALUES,
@@ -66,7 +73,21 @@ AGENTS = st.fixed_dictionaries(
         | JSON_VALUES,
     }
 )
-DOCUMENTS = JSON_VALUES | st.fixed_dictionaries(
+# and documents whose only faults can be their endpoints, so that inputs
+# reach the interval checks as often as the shape checks
+ENDPOINT_DOCUMENTS = st.builds(
+    lambda kind, sets: {
+        "resource": kind,
+        "agents": [{"id": f"a{i + 1}", "intervals": w} for i, w in enumerate(sets)],
+    },
+    st.sampled_from(["cake", "chore"]),
+    st.lists(
+        st.lists(st.lists(RATIONALS, min_size=2, max_size=2), max_size=3),
+        min_size=1,
+        max_size=3,
+    ),
+)
+DOCUMENTS = JSON_VALUES | ENDPOINT_DOCUMENTS | st.fixed_dictionaries(
     {
         "resource": st.sampled_from(["cake", "chore"]) | JSON_VALUES,
         "agents": st.lists(AGENTS, min_size=1, max_size=3) | JSON_VALUES,

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fairslice import (
+    FairsliceError,
     IntervalSet,
     SearchSpaceTooLargeError,
     get_mechanism,
@@ -166,6 +167,27 @@ def test_oversized_sweep_refused_before_any_run(monkeypatch, tmp_path):
     next(sweep_prefix_grid("prefix-cake", 4, 8))
     assert len(runs()) == 9**4
     assert len(set(runs())) == 9**4
+
+
+@pytest.mark.parametrize(
+    "name, n, d, message",
+    [
+        ("prefix-cake", -1, 4, "prefix sweep needs at least 1 agent, not -1"),
+        ("prefix-cake", 0, 4, "prefix sweep needs at least 1 agent, not 0"),
+        ("prefix-cake", 8, -5, "grid denominator must be at least 1"),
+        ("prefix-chore", 2, 0, "grid denominator must be at least 1"),
+        ("cake2", 3, 2, "cake2 serves 2 agents, not 3"),
+    ],
+)
+def test_bad_request_refused_before_any_profile(monkeypatch, name, n, d, message):
+    """The sweep checks its own request, so a library call fails as the
+    CLI does: with a FairsliceError, before ordered_map or any profile."""
+    monkeypatch.setattr(
+        sweeps, "ordered_map", lambda *args: pytest.fail("a sweep started")
+    )
+    with pytest.raises(FairsliceError) as refused:
+        next(sweep_prefix_grid(name, n, d, workers=2))
+    assert str(refused.value) == message
 
 
 def test_instances_built_only_in_phase_one(monkeypatch):
