@@ -4,6 +4,9 @@ Agent 1 starts at 0 moving right, agent 2 at 1 moving left. Each eats her
 own desired cake at unit speed and leaps instantly over stretches she does
 not want. The race ends when they meet; whatever neither ate is split at
 the meeting point, the left part to agent 2 and the right part to agent 1.
+Both agents run one rule (eat forward, leap over unwanted stretches);
+agent 2 runs it in mirrored coordinates, where she stands at -x when she
+is at x and wants each of her stretches [l, r] as [-r, -l].
 
 Tie and edge rules (all of which matter for exactness):
   * when both need to leap at the same instant, agent 2 leaps first;
@@ -50,158 +53,97 @@ class EatingTrace:
     leftovers: tuple[IntervalSet, IntervalSet]
 
 
-class _Sim:
-    def __init__(self, w1: IntervalSet, w2: IntervalSet) -> None:
-        self.w = (w1, w2)
-        self.pos = [ZERO, ONE]
-        self.t = ZERO
-        self.eaten: list[list[tuple[Fraction, Fraction]]] = [[], []]
-        self.stopped = [False, False]
-        self.stop_order: list[int] = []
-        self.events: list[EatingEvent] = []
-        self.run_start: list[Fraction | None] = [None, None]
-        self.met = False
-        self.meeting = ZERO
+def _front(want: tuple[tuple[Fraction, Fraction], ...], p: Fraction):
+    """The first wanted stretch that does not lie behind an eater at p,
+    or None when she has nothing left to want. She is eating when it
+    starts at or before p; otherwise its start is where she leaps to."""
+    return next(((l, r) for l, r in want if r > p), None)
 
-    # -- event helpers ---------------------------------------------------
 
-    def _emit(self, agent: int, kind: str, position: Fraction) -> None:
-        self.events.append(EatingEvent(self.t, agent, kind, position))
+def _real(agent: int, x: Fraction) -> Fraction:
+    """A position in the agent's own coordinates, as a point of [0, 1]."""
+    return -x if agent else x
 
-    def _open_run(self, agent: int) -> None:
-        if self.run_start[agent] is None:
-            self.run_start[agent] = self.pos[agent]
-            self._emit(agent, "eat-start", self.pos[agent])
 
-    def _close_run(self, agent: int) -> None:
-        start = self.run_start[agent]
-        if start is None:
-            return
-        self.run_start[agent] = None
-        self._emit(agent, "eat-end", self.pos[agent])
-        lo, hi = sorted((start, self.pos[agent]))
-        if lo < hi:
-            self.eaten[agent].append((lo, hi))
+def _race(instance: Instance) -> list[EatingEvent]:
+    """Every event of the race, in order; the last is agent 2's meet."""
+    wants = (
+        instance.desired(0).intervals,
+        tuple((-r, -l) for l, r in reversed(instance.desired(1).intervals)),
+    )
+    pos = [ZERO, -ONE]  # each agent's position in her own coordinates
+    t = ZERO
+    events: list[EatingEvent] = []
 
-    def _meet_at(self, x: Fraction) -> None:
-        self.pos[0] = self.pos[1] = x
-        self.met = True
-        self.meeting = x
-        self._close_run(0)
-        self._close_run(1)
-        self._emit(0, "meet", x)
-        self._emit(1, "meet", x)
+    def emit(agent: int, kind: str, x: Fraction) -> None:
+        events.append(EatingEvent(t, agent, kind, x))
 
-    # -- one agent's readiness -------------------------------------------
+    def eating(agent: int) -> bool:
+        last = next((e for e in reversed(events) if e.agent == agent), None)
+        return last is not None and last.kind == "eat-start"
 
-    def _ready(self, agent: int) -> bool:
-        p = self.pos[agent]
-        if agent == 0:
-            return any(l <= p < r for l, r in self.w[0].intervals)
-        return any(l < p <= r for l, r in self.w[1].intervals)
+    def meet(x: Fraction) -> list[EatingEvent]:
+        for agent in (0, 1):
+            if eating(agent):
+                emit(agent, "eat-end", x)
+        emit(0, "meet", x)
+        emit(1, "meet", x)
+        return events
 
-    def _jump_target(self, agent: int) -> Fraction | None:
-        """Start of the next wanted stretch in the agent's direction."""
-        p = self.pos[agent]
-        if agent == 0:
-            ahead = [l for l, _ in self.w[0].intervals if l > p]
-            return min(ahead) if ahead else None
-        ahead = [r for _, r in self.w[1].intervals if r < p]
-        return max(ahead) if ahead else None
-
-    def _resolve_one(self, agent: int) -> None:
-        if self.stopped[agent] or self.met or self._ready(agent):
-            return
-        self._close_run(agent)
-        target = self._jump_target(agent)
-        if target is None:
-            self.stopped[agent] = True
-            self.stop_order.append(agent)
-            self._emit(agent, "stop", self.pos[agent])
-            return
-        other = self.pos[1 - agent]
-        crosses = target >= other if agent == 0 else target <= other
-        if crosses:
-            self._emit(agent, "jump", other)
-            self._meet_at(other)
-        else:
-            self.pos[agent] = target
-            self._emit(agent, "jump", target)
-
-    def _resolve(self) -> None:
-        # agent 2 leaps first on simultaneous leaps
-        self._resolve_one(1)
-        self._resolve_one(0)
-
-    # -- time stepping -----------------------------------------------------
-
-    def _boundary_gap(self, agent: int) -> Fraction:
-        """Distance to the end of the stretch being eaten (agent is ready)."""
-        p = self.pos[agent]
-        if agent == 0:
-            for l, r in self.w[0].intervals:
-                if l <= p < r:
-                    return r - p
-        else:
-            for l, r in self.w[1].intervals:
-                if l < p <= r:
-                    return p - l
-        raise AssertionError("boundary gap queried while not ready")
-
-    def _step(self) -> None:
-        gap = self.pos[1] - self.pos[0]
-        moving = [i for i in (0, 1) if not self.stopped[i]]
-        delta_meet = gap / len(moving)
-        delta = min([delta_meet] + [self._boundary_gap(i) for i in moving])
-        for i in moving:
-            self._open_run(i)
-            self.pos[i] += delta if i == 0 else -delta
-        self.t += delta
+    movers = (1, 0)  # when both must leap at once, agent 2 leaps first
+    while True:
+        ends = {}  # the end of the stretch each agent is eating
+        for a in movers:
+            front = _front(wants[a], pos[a])
+            if front is None or pos[a] < front[0]:
+                if eating(a):
+                    emit(a, "eat-end", _real(a, pos[a]))
+                if front is None:
+                    emit(a, "stop", _real(a, pos[a]))
+                    continue
+                other = -pos[1 - a]  # the other agent, in a's coordinates
+                if front[0] >= other:
+                    emit(a, "jump", _real(a, other))
+                    return meet(_real(a, other))
+                pos[a] = front[0]
+                emit(a, "jump", _real(a, pos[a]))
+            ends[a] = front[1]
+        if not ends:
+            if pos == [ZERO, -ONE]:
+                # nobody wants anything: no walk, meeting pinned at 0
+                return meet(ZERO)
+            # the second to stop walks the gap up to the first one
+            walker = next(e.agent for e in reversed(events) if e.kind == "stop")
+            ends = {walker: -pos[1 - walker]}
+        delta_meet = -(pos[0] + pos[1]) / len(ends)
+        delta = min([delta_meet] + [r - pos[a] for a, r in ends.items()])
+        for a in sorted(ends):
+            if not eating(a):
+                emit(a, "eat-start", _real(a, pos[a]))
+            pos[a] += delta
+        t += delta
         if delta == delta_meet:
-            x = self.pos[0]
-            self.pos[1] = x  # guard against any representation drift
-            self._meet_at(x)
-
-    def _endgame(self) -> None:
-        """Both agents ran dry without meeting."""
-        if (
-            self.pos[0] == ZERO
-            and self.pos[1] == ONE
-            and not self.eaten[0]
-            and not self.eaten[1]
-        ):
-            # nobody wants anything: no walk, meeting pinned at 0
-            self._meet_at(ZERO)
-            return
-        first = self.stop_order[0]
-        walker = 1 - first
-        destination = self.pos[first]
-        self._open_run(walker)
-        self.t += abs(destination - self.pos[walker])
-        self.pos[walker] = destination
-        self._meet_at(destination)
-
-    def run(self) -> None:
-        self._resolve()
-        while not self.met:
-            if all(self.stopped):
-                self._endgame()
-                break
-            self._step()
-            if not self.met:
-                self._resolve()
+            return meet(pos[0])
+        movers = tuple(ends)
 
 
 def simulate_eating(instance: Instance) -> tuple[Allocation, EatingTrace]:
     """Run the race and return both the allocation and the full trace."""
     require(instance, Resource.CAKE, 2)
-    sim = _Sim(instance.desired(0), instance.desired(1))
-    sim.run()
-    eaten = [IntervalSet.from_endpoints(runs) for runs in sim.eaten]
+    events = _race(instance)
+    meeting = events[-1].position
+    runs: tuple[list, list] = ([], [])
+    for e in events:
+        if e.kind in ("eat-start", "eat-end"):
+            runs[e.agent].append(e.position)
+    eaten = [
+        IntervalSet.from_endpoints(sorted(run) for run in zip(ends[::2], ends[1::2]))
+        for ends in runs
+    ]
     pieces: tuple[list, list] = ([], [])
     leftovers: tuple[list, list] = ([], [])
     for left, right, (ate1, ate2, before) in atoms(
-        (*eaten, IntervalSet.prefix(sim.meeting))
+        (*eaten, IntervalSet.prefix(meeting))
     ):
         if ate1:
             pieces[0].append((left, right))
@@ -214,6 +156,6 @@ def simulate_eating(instance: Instance) -> tuple[Allocation, EatingTrace]:
     # an atom both ate lands in both pieces, and Allocation rejects it
     allocation = Allocation((glued(pieces[0]), glued(pieces[1])))
     trace = EatingTrace(
-        tuple(sim.events), sim.meeting, (glued(leftovers[0]), glued(leftovers[1]))
+        tuple(events), meeting, (glued(leftovers[0]), glued(leftovers[1]))
     )
     return allocation, trace

@@ -530,19 +530,20 @@ def search_deviations(
     deviation. Candidates come in lexicographic order of their interval
     tuples and the first of the equally good ones wins, so the result is
     deterministic no matter how the evaluation is scheduled. The truthful
-    value comes from one more run, on the agent's own report.
+    value comes from one more run, on the agent's own report, made first:
+    an instance the mechanism refuses fails there, before any pool starts.
     """
     if mechanism.prefix_only and family != "prefix":
         raise PreconditionUnmetError(
             f"{mechanism.name} accepts only prefix reports; use the prefix family"
         )
     reports = candidate_reports(family, grid_denominator)
+    truthful = deviation_value(mechanism, instance, agent, instance.desired(agent))
     values = list(
         ordered_map(
             partial(deviation_value, mechanism, instance, agent), reports, workers
         )
     )
-    truthful = deviation_value(mechanism, instance, agent, instance.desired(agent))
     return summarize_deviation_search(
         instance.kind, instance.ids[agent], grid_denominator, family,
         values, truthful,

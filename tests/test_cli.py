@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import fairslice
 from fairslice import get_mechanism, mechanisms, properties, sweeps
 from fairslice.cli import build_parser, main
+from fairslice.serialize import instance_document
 
 UNEVEN = {
     "resource": "cake",
@@ -536,6 +538,43 @@ GOLDEN_DEVIATE = [
 ]
 
 
+# Two-agent cakes for the eating race, as [a1's intervals, a2's intervals]:
+# the four instances of test_eating.TestFrozenTraces (the corpus's `eat`
+# steps use three of them), then 40 random pairs, seed 1. Between them
+# they meet every tie rule in the eating module's docstring: simultaneous
+# leaps (agent 2 first), a leap past the other agent, one agent running dry
+# while the other eats on, the second stopper walking the gap, and nobody
+# wanting anything.
+def _trace_documents():
+    frozen = [
+        [[["0", "1/5"]], [["9/10", "1"]]],
+        [[["0", "1"]], [["0", "1"]]],
+        [[["0", "1"]], [["0", "1/2"]]],
+        [[], []],
+    ]
+    documents = [
+        {"resource": "cake",
+         "agents": [{"id": "a1", "intervals": w1}, {"id": "a2", "intervals": w2}]}
+        for w1, w2 in frozen
+    ]
+    rng = random.Random(1)
+    documents += [
+        instance_document(sweeps.random_two_agent_instance(rng)) for _ in range(40)
+    ]
+    return documents
+
+
+# The SHA-256 of the concatenated `allocate --mechanism cake2-eating --trace`
+# stdout over _trace_documents, printed while each agent of the race still
+# had her own code for readiness, leaps, stretch ends and crossings.
+GOLDEN_TRACE = [
+    ("text",
+     "2c6d51b67dd6d49fc9c723ecdf6a602f8410231c16c4c4ccc31f69e9ce274a6e"),
+    ("machine",
+     "f1a1d1ca4af4130c8ae301eb5a89365fc36e14cf060471ee776010de0c48173f"),
+]
+
+
 class TestGoldenBytes:
     @pytest.mark.parametrize("name, claims, verify_digest, allocate_digest",
                              GOLDEN_PREFIX)
@@ -606,6 +645,18 @@ class TestGoldenBytes:
                      "--grid", str(grid), "--family", family,
                      "--format", "machine"]) == code
         out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out[:400]
+
+    @pytest.mark.parametrize("output_format, digest", GOLDEN_TRACE)
+    def test_eating_trace_frozen(self, fx, capsys, output_format, digest):
+        path = fx["dir"] / "golden.json"
+        out = []
+        for document in _trace_documents():
+            path.write_text(json.dumps(document))
+            assert main(["allocate", "--mechanism", "cake2-eating", "--instance",
+                         str(path), "--trace", "--format", output_format]) == 0
+            out.append(capsys.readouterr().out)
+        out = "".join(out)
         assert hashlib.sha256(out.encode()).hexdigest() == digest, out[:400]
 
     @pytest.mark.parametrize(
@@ -870,6 +921,46 @@ class TestEnumerate:
         summary = json.loads(capsys.readouterr().out.split("\n")[-2])["summary"]
         assert summary["guarantee_violations"] == total
         assert summary["flagged"] == flagged
+
+
+@pytest.fixture(scope="module")
+def many_agents(tmp_path_factory):
+    """One 5,000-agent file per resource kind, with prefix claims on the
+    1/24 grid: far past every mechanism's agent count or cap."""
+    directory = tmp_path_factory.mktemp("many")
+    paths = {}
+    for kind in ("cake", "chore"):
+        path = directory / f"{kind}.json"
+        path.write_text(json.dumps({"resource": kind, "agents": [
+            {"id": f"a{i + 1}", "intervals": [["0", f"{i % 25}/24"]]}
+            for i in range(5000)
+        ]}))
+        paths[kind] = str(path)
+    return paths
+
+
+class TestThousandsOfAgents:
+    CAPS = {"prefix-cake": mechanisms.PREFIX_CAKE_AGENT_CAP,
+            "prefix-chore": mechanisms.PREFIX_CHORE_AGENT_CAP}
+
+    @pytest.mark.parametrize(
+        "args", [["allocate"], ["verify"], ["deviate"], ["deviate", "--workers", "2"]]
+    )
+    @pytest.mark.parametrize("name", sorted(mechanisms.MECHANISMS))
+    def test_refused_with_the_count(self, many_agents, monkeypatch, capsys, name, args):
+        """Each command refuses in one line, before any run, sweep or pool."""
+        monkeypatch.setattr(
+            properties, "ordered_map", lambda *args: pytest.fail("a search started")
+        )
+        info = get_mechanism(name)
+        code = main(args + ["--mechanism", name, "--instance", many_agents[info.kind.value]])
+        captured = capsys.readouterr()
+        limit = f"exactly {info.n_agents}" if info.n_agents else f"at most {self.CAPS[name]}"
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"fairslice: error: mechanism serves {limit} agents, instance has 5000\n"
+        )
 
 
 class TestUsageErrors:

@@ -7,7 +7,6 @@ from hypothesis import given
 
 import oracle
 from fairslice import PreconditionUnmetError, allocate_cake2, simulate_eating
-from fairslice.eating import _Sim
 from helpers import F, cake, chore, iset, two_agent_instances
 
 HALF = F(1, 2)
@@ -17,8 +16,15 @@ def events_of(trace, agent, kinds=None):
     return [
         e
         for e in trace.events
-        if e.agent == agent and (kinds is None or e.kind in kinds)
+        if agent in (None, e.agent) and (kinds is None or e.kind in kinds)
     ]
+
+
+def eaten_runs(trace, agent):
+    """The agent's eaten runs in the order she ate them, each as the
+    positions of an eat-start event and the eat-end event after it."""
+    ends = [e.position for e in events_of(trace, agent, ("eat-start", "eat-end"))]
+    return list(zip(ends[::2], ends[1::2]))
 
 
 class TestFrozenTraces:
@@ -114,19 +120,53 @@ class TestTraceInvariants:
     def test_split_matches_set_algebra_oracle(self, inst):
         """Each agent keeps what she ate; the cake neither ate goes to
         agent 2 left of the meeting point and to agent 1 right of it."""
-        sim = _Sim(inst.desired(0), inst.desired(1))
-        sim.run()
-        eaten1, eaten2 = (oracle.canonical(runs) for runs in sim.eaten)
-        unclaimed = oracle.difference([(F(0), F(1))], oracle.union(eaten1, eaten2))
-        to_a2 = oracle.intersection(unclaimed, [(F(0), sim.meeting)])
-        to_a1 = oracle.difference(unclaimed, to_a2)
         alloc, trace = simulate_eating(inst)
-        assert trace.meeting_point == sim.meeting
+        eaten1, eaten2 = (
+            oracle.canonical([sorted(run) for run in eaten_runs(trace, agent)])
+            for agent in (0, 1)
+        )
+        unclaimed = oracle.difference([(F(0), F(1))], oracle.union(eaten1, eaten2))
+        to_a2 = oracle.intersection(unclaimed, [(F(0), trace.meeting_point)])
+        to_a1 = oracle.difference(unclaimed, to_a2)
         assert [s.intervals for s in trace.leftovers] == [tuple(to_a1), tuple(to_a2)]
         assert [p.intervals for p in alloc.pieces] == [
             tuple(oracle.union(eaten1, to_a1)),
             tuple(oracle.union(eaten2, to_a2)),
         ]
+
+    @given(two_agent_instances())
+    def test_eat_start_and_eat_end_alternate(self, inst):
+        _, trace = simulate_eating(inst)
+        for agent in (0, 1):
+            kinds = [e.kind for e in events_of(trace, agent, ("eat-start", "eat-end"))]
+            assert kinds == ["eat-start", "eat-end"] * (len(kinds) // 2)
+
+    @given(two_agent_instances())
+    def test_agents_eat_only_what_they_want_until_the_walk(self, inst):
+        """Every eaten run lies in the eater's desired set, except the last
+        run of the second agent to stop: she walks the gap to the meeting
+        point, wanted or not."""
+        _, trace = simulate_eating(inst)
+        stops = events_of(trace, None, ("stop",))
+        walker = stops[1].agent if len(stops) == 2 else None
+        for agent in (0, 1):
+            runs = eaten_runs(trace, agent)
+            if agent == walker and runs:
+                *runs, (_, walk_end) = runs
+                assert walk_end == trace.meeting_point
+            for run in runs:
+                inside = oracle.difference([sorted(run)], inst.desired(agent).intervals)
+                assert inside == []
+
+    @given(two_agent_instances())
+    def test_leaps_land_on_a_wanted_stretch_or_the_meeting_point(self, inst):
+        """A leap ends where a wanted stretch starts in the leaper's
+        direction (a left end for agent 1, a right end for agent 2), or, cut
+        short by the other agent, at the meeting point."""
+        _, trace = simulate_eating(inst)
+        for e in events_of(trace, None, ("jump",)):
+            ends = [iv[e.agent] for iv in inst.desired(e.agent).intervals]
+            assert e.position in ends or e.position == trace.meeting_point
 
     @given(two_agent_instances())
     def test_allocation_is_a_full_partition(self, inst):

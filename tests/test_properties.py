@@ -31,7 +31,7 @@ from fairslice import (
     indicator_vector,
     search_deviations,
 )
-from fairslice.errors import NotPrefixFormError
+from fairslice.errors import FairsliceError, NotPrefixFormError
 from fairslice import properties
 from fairslice.properties import allocation_reports, deviation_value, ordered_map
 from fairslice.sweeps import random_grid_subset, random_two_agent_instance
@@ -667,6 +667,17 @@ class TestSearchDeviations:
         with pytest.raises(PreconditionUnmetError, match="report family"):
             search_deviations(MECH_CAKE2, self.CUT_INSTANCE, 0, 4, "wedges")
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_refused_instance_fails_before_the_map(self, monkeypatch, workers):
+        """The truthful run comes first, so an instance the mechanism refuses
+        fails in this process, before ordered_map or any pool starts."""
+        monkeypatch.setattr(
+            properties, "ordered_map", lambda *args: pytest.fail("a search started")
+        )
+        three = cake(iset((0, 1)), iset((0, HALF)), iset((HALF, 1)))
+        with pytest.raises(FairsliceError, match="^mechanism serves exactly 2 agents"):
+            search_deviations(MECH_CAKE2, three, 0, 4, "subsets", workers)
+
     @pytest.mark.parametrize(
         "mechanism, instance, family, truthful",
         [
@@ -690,7 +701,7 @@ class TestSearchDeviations:
         report = search_deviations(mechanism, instance, 0, 4, family)
         candidates = properties.candidate_reports(family, 4)
         assert instance.desired(0) not in candidates
-        assert reports == list(candidates) + [instance.desired(0)]
+        assert reports == [instance.desired(0)] + list(candidates)
         witness = report.witness
         assert witness["truthful_value"] == mechanism.run(instance).values(instance)[0]
         assert witness["truthful_value"] == truthful
