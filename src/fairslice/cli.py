@@ -153,25 +153,22 @@ def _cmd_allocate(config: argparse.Namespace, out) -> int:
     if trace is not None:
         for event in trace.events:
             record = {
-                "event": {
-                    "time": format_rational(event.time),
+                "event": to_jsonable({
+                    "time": event.time,
                     "agent": instance.ids[event.agent],
                     "kind": event.kind,
-                    "position": format_rational(event.position),
-                }
+                    "position": event.position,
+                })
             }
             out.write(
                 dumps(record) + "\n"
                 if machine
                 else "t={time} {agent} {kind} at {position}\n".format(**record["event"])
             )
-        summary = {
-            "meeting_point": format_rational(trace.meeting_point),
-            "leftovers": {
-                instance.ids[0]: to_jsonable(trace.leftovers[0]),
-                instance.ids[1]: to_jsonable(trace.leftovers[1]),
-            },
-        }
+        summary = to_jsonable({
+            "meeting_point": trace.meeting_point,
+            "leftovers": dict(zip(instance.ids, trace.leftovers)),
+        })
         out.write(
             dumps(summary) + "\n"
             if machine

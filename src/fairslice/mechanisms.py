@@ -176,18 +176,6 @@ def prefix_endpoints(instance: Instance) -> tuple[Fraction, ...]:
     return tuple(prefix_endpoint(v.desired) for v in instance.valuations)
 
 
-def _min_prefix_point(s: IntervalSet, target: Fraction) -> Fraction:
-    """Least p with |s ∩ [0, p]| == target (requires target <= |s|)."""
-    if target == 0:
-        return ZERO
-    acc = ZERO
-    for left, right in s.intervals:
-        if acc + (right - left) >= target:
-            return left + (target - acc)
-        acc += right - left
-    raise PreconditionUnmetError(f"set of length {acc} cannot contain {target}")
-
-
 @register("prefix-cake", Resource.CAKE, _EXACT_GUARANTEES,
           cap=PREFIX_CAKE_AGENT_CAP, prefix_only=True)
 def allocate_prefix_cake(instance: Instance) -> Allocation:
@@ -293,8 +281,9 @@ def allocate_prefix_chore(instance: Instance) -> Allocation:
 
 
 def halving_point(desired: IntervalSet) -> Fraction:
-    """Leftmost m splitting the reported set into two equal-worth halves."""
-    return _min_prefix_point(desired, desired.total_length() / 2)
+    """Leftmost m splitting the reported set into two equal-worth halves:
+    the crossing point of the set with itself."""
+    return crossing_point(desired, desired)
 
 
 @register("cut-and-choose", Resource.CAKE, {"envy-free", "proportional", "full"},

@@ -164,10 +164,15 @@ class Allocation:
 
     def values(self, instance: Instance) -> tuple[Fraction, ...]:
         """Each agent's worth of her own piece."""
-        if instance.n != self.n:
-            raise ShapeMismatchError(
-                f"allocation has {self.n} pieces for {instance.n} agents"
-            )
+        _check_piece_count(instance, self)
         return tuple(
             v.value(p) for v, p in zip(instance.valuations, self.pieces)
+        )
+
+
+def _check_piece_count(instance: Instance, allocation: Allocation) -> None:
+    """Refuse an allocation whose piece count is not the agent count."""
+    if instance.n != allocation.n:
+        raise ShapeMismatchError(
+            f"allocation has {allocation.n} pieces for {instance.n} agents"
         )

@@ -20,15 +20,11 @@ from functools import lru_cache, partial
 from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import (
-    PreconditionUnmetError,
-    SearchSpaceTooLargeError,
-    ShapeMismatchError,
-)
+from .errors import PreconditionUnmetError, SearchSpaceTooLargeError
 from .eating import simulate_eating
 from .intervals import ZERO, IntervalSet, atoms, glued
 from .mechanisms import MechanismInfo, allocate_cake2
-from .model import Allocation, Instance, Resource, Valuation
+from .model import Allocation, Instance, Resource, Valuation, _check_piece_count
 
 _INDICATOR_AGENT_CAP = 16
 _ANONYMITY_AGENT_CAP = 4
@@ -56,13 +52,6 @@ def _violated(name: str, witness: dict) -> PropertyReport:
     return PropertyReport(name, "violated", witness)
 
 
-def _check_shapes(instance: Instance, allocation: Allocation) -> None:
-    if instance.n != allocation.n:
-        raise ShapeMismatchError(
-            f"allocation has {allocation.n} pieces for {instance.n} agents"
-        )
-
-
 # -- fairness ---------------------------------------------------------------
 
 
@@ -83,7 +72,7 @@ def value_matrix(instance: Instance, allocation: Allocation) -> list[list[Fracti
     endpoint, so agent i's value of it is the sum over i's desired
     intervals [l, r] of cum(r) - cum(l).
     """
-    _check_shapes(instance, allocation)
+    _check_piece_count(instance, allocation)
     desires = [v.desired.intervals for v in instance.valuations]
     points = sorted({x for intervals in desires for iv in intervals for x in iv})
     index = {x: k for k, x in enumerate(points)}
@@ -110,7 +99,7 @@ def check_envy_free(
 
     `value` reads agent i's value of piece j; by default it is measured.
     """
-    _check_shapes(instance, allocation)
+    _check_piece_count(instance, allocation)
     value = value or _piece_values(instance, allocation)
     chore = instance.kind is Resource.CHORE
     for i in range(instance.n):
@@ -140,7 +129,7 @@ def check_proportional(
 
     `value` reads agent i's value of piece j; by default it is measured.
     """
-    _check_shapes(instance, allocation)
+    _check_piece_count(instance, allocation)
     value = value or _piece_values(instance, allocation)
     chore = instance.kind is Resource.CHORE
     n = instance.n
@@ -178,7 +167,7 @@ def check_pareto(
 
     `value` reads agent i's value of piece j; by default it is measured.
     """
-    _check_shapes(instance, allocation)
+    _check_piece_count(instance, allocation)
     if allocation.free_disposal:
         raise PreconditionUnmetError(
             "Pareto check is defined for full allocations only"
@@ -450,10 +439,10 @@ def grid_points(grid_denominator: int) -> tuple[Fraction, ...]:
 
 @lru_cache(maxsize=8)
 def candidate_reports(family: str, grid_denominator: int) -> tuple[IntervalSet, ...]:
-    """The report family's candidates sorted by their interval tuples,
-    built once per (family, D) since every search on that grid scans the
-    same list. This order is the search's tie-break: among equally good
-    reports the first one wins."""
+    """The report family's candidates, generated in the order of their
+    interval tuples and built once per (family, D) since every search on
+    that grid scans the same list. This order is the search's tie-break:
+    among equally good reports the first one wins."""
     require_grid(grid_denominator)
     if family == "prefix":
         if grid_denominator > PREFIX_GRID_CAP:
@@ -469,25 +458,17 @@ def candidate_reports(family: str, grid_denominator: int) -> tuple[IntervalSet, 
                 f"candidates; cap is D={SUBSET_GRID_CAP}"
             )
         points = grid_points(grid_denominator)
-        cells = list(zip(points, points[1:]))
-        unions = [
-            IntervalSet.from_endpoints(
-                [cells[k] for k in range(grid_denominator) if mask >> k & 1]
-            )
-            for mask in range(1 << grid_denominator)
-        ]
-        # the flattened endpoints sort as the interval tuples do; each
-        # endpoint k/D is compared as the int k
-        return tuple(
-            sorted(
-                unions,
-                key=lambda union: [
-                    x.numerator * (grid_denominator // x.denominator)
-                    for span in union.intervals
-                    for x in span
-                ],
-            )
-        )
+
+        def runs(start: int) -> Iterator[tuple[tuple[Fraction, Fraction], ...]]:
+            # the empty union, then each first run [l/D, r/D] by l, then r,
+            # followed by every union from r + 1 on, so runs stay apart
+            yield ()
+            for left in range(start, grid_denominator):
+                for right in range(left + 1, grid_denominator + 1):
+                    for rest in runs(right + 1):
+                        yield ((points[left], points[right]), *rest)
+
+        return tuple(IntervalSet(spans) for spans in runs(0))
     raise PreconditionUnmetError(
         f"unknown report family {family!r}; choose 'prefix' or 'subsets'"
     )

@@ -82,6 +82,7 @@ class TestCrossingPoint:
         assert crossing_point(w1, w2) == oracle.crossing_root(
             w1.intervals, w2.intervals
         )
+        assert mechanisms.halving_point(w1) == oracle.halving_point(w1.intervals)
 
     @given(two_agent_instances())
     def test_is_the_leftmost_balance_point(self, inst):

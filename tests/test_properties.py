@@ -793,7 +793,7 @@ class TestGrid:
             random_grid_subset(Random(0), 0)
 
     @pytest.mark.parametrize("family", ["prefix", "subsets"])
-    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("d", [*range(1, 7), 10, properties.SUBSET_GRID_CAP])
     def test_candidates_come_in_lexicographic_order(self, family, d):
         """The search's tie-break is the candidates' own order."""
         reports = properties.candidate_reports(family, d)
