@@ -23,12 +23,11 @@ truthful value. The agent, its truthful value and its deviation values fix
 that report exactly, so phase 2 memoizes the reduced and serialized report
 by that triple and shares its document among the records it occurs in; it
 likewise decodes each check text and formats each value once. The memos
-are lru_cache wrappers; the documents and decoded texts evict the least
-recently used once SWEEP_MEMO_ENTRIES are held. Records of one sweep thus
-share their report dicts and are read-only. The rows and the memos live
-exactly as long as one sweep_prefix_grid call, so nothing carries over
-from one sweep to the next. Sweeps are capped at SWEEP_PROFILE_CAP
-profiles, which bounds the rows' memory.
+are plain caches. Records of one sweep thus share their report dicts and
+are read-only. The rows and the memos live exactly as long as one
+sweep_prefix_grid call, so nothing carries over from one sweep to the
+next. SWEEP_ROW_ENTRY_CAP bounds the rows' entries, and so the memos too:
+every memo key is one agent's column of D+1 entries in one profile.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cache, partial
 from math import lcm
 from random import Random
 from typing import Iterator, Sequence
@@ -57,18 +56,13 @@ from .properties import (
 from .rationals import format_rational
 from .serialize import dumps, report_document, to_jsonable
 
-# Phase 1 keeps n prefix-measure rows and one shared check text per
-# profile. Measured with tracemalloc over a whole sweep, the largest
-# sweeps this cap allows peak at 23.4 MiB (prefix-cake, n=9, D=2),
-# 22.9 MiB (n=14, D=1) and 19.3 MiB (n=5, D=6), 1.2 to 1.5 KiB per
-# profile, all reached by the end of phase 1; prefix-chore peaks lower,
-# at 16.2 to 18.4 MiB.
-SWEEP_PROFILE_CAP = 20_000
-# Phase 2 keeps at most this many truthfulness documents and decoded check
-# texts, evicting the least recently used. prefix-cake has 252 distinct
-# documents at n=3, D=6 and 6,345 at n=5, D=6, where unbounded memos would
-# add 4 MiB to the sweep's peak.
-SWEEP_MEMO_ENTRIES = 1024
+# A sweep keeps n rows of D+1 entries per profile, n·(D+1)^(n+1) in all.
+# 650,000 admits every n ≥ 4 sweep of at most 20,000 profiles (the
+# largest, n=4 and D=10, keeps 644,204) and refuses n=1 from D=806, n=2
+# from D=68, n=3 from D=21 and every n ≥ 15. Traced over a whole sweep,
+# the largest admitted sweep peaks at 57.1 MiB for n=1 (D=805) and at
+# 23.4 MiB or less for every other n (README lists each n).
+SWEEP_ROW_ENTRY_CAP = 650_000
 
 
 def guarantee_violations(
@@ -142,8 +136,8 @@ def sweep_prefix_grid(
 
     The first record comes once every profile has run. Records share their
     report dicts with each other, so treat them as read-only. D < 1, n < 1,
-    an n the mechanism does not serve and more than SWEEP_PROFILE_CAP
-    profiles are refused before any profile is built.
+    an n the mechanism does not serve and more than SWEEP_ROW_ENTRY_CAP
+    row entries, n·(D+1)^(n+1), are refused before any profile is built.
     """
     mechanism = get_mechanism(mechanism_name)
     require_grid(grid_denominator)
@@ -153,18 +147,20 @@ def sweep_prefix_grid(
         raise PreconditionUnmetError(
             f"{mechanism.name} serves {mechanism.n_agents} agents, not {n}"
         )
-    count = 1
-    for _ in range(n):
-        count *= grid_denominator + 1
-        if count > SWEEP_PROFILE_CAP:
+    span = grid_denominator + 1
+    entries = n
+    for _ in range(n + 1):
+        entries *= span
+        if entries > SWEEP_ROW_ENTRY_CAP:
             raise SearchSpaceTooLargeError(
-                f"prefix sweep at n={n}, D={grid_denominator} has "
-                f"{grid_denominator + 1}^{n} profiles; cap is {SWEEP_PROFILE_CAP}"
+                f"prefix sweep at n={n}, D={grid_denominator} keeps {n} rows "
+                f"of {span} entries for each of {span}^{n} profiles; cap is "
+                f"{SWEEP_ROW_ENTRY_CAP} row entries"
             )
     candidates = candidate_reports("prefix", grid_denominator)
     valuations = tuple(Valuation(report) for report in candidates)
     points = grid_points(grid_denominator)
-    profiles = list(itertools.product(range(grid_denominator + 1), repeat=n))
+    profiles = list(itertools.product(range(span), repeat=n))
     # phase 1; most profiles pass every check with the same text, kept once
     shared: dict = {}
     checks, rows = [], []
@@ -178,27 +174,27 @@ def sweep_prefix_grid(
         rows.append(profile_rows)
         unit = lcm(unit, *(v.denominator for row in profile_rows for v in row))
     _scale_rows(rows, unit)
+    # decode each distinct check text once, after the rows shrink to ints:
+    # decoded earlier, the documents would add to the Fraction rows' peak
+    for head in shared:
+        shared[head] = json.loads(head[0]), head[1]
     # phase 2; the profile with agent i's index replaced by k sits at
     # index + (k - k_i) * stride_i
-    span = grid_denominator + 1
     strides = [span ** (n - 1 - i) for i in range(n)]
     point_texts = to_jsonable(points)
     ids = default_ids(n)
     # (agent, truthful value, deviation values) fixes the whole report
-    @lru_cache(maxsize=SWEEP_MEMO_ENTRIES)
+    @cache
     def verdict(agent: int, truthful: int, values: tuple[int, ...]):
         report = summarize_deviation_search(
             mechanism.kind, ids[agent], grid_denominator, "prefix",
             values, truthful, unit,
         )
         return report_document(report), guarantee_violations(mechanism, [report])
-    decode = lru_cache(maxsize=SWEEP_MEMO_ENTRIES)(json.loads)
-    value_text = lru_cache(maxsize=None)(
-        lambda value: format_rational(Fraction(value, unit))
-    )
+    value_text = cache(lambda value: format_rational(Fraction(value, unit)))
     for index, ks in enumerate(profiles):
         own = [rows[index][i][k] for i, k in enumerate(ks)]
-        text, check_violations = checks[index]
+        check_documents, check_violations = shared[checks[index]]
         documents, broken = [], list(check_violations)
         for agent, (k, stride) in enumerate(zip(ks, strides)):
             first = index - k * stride
@@ -211,7 +207,7 @@ def sweep_prefix_grid(
             "instance": index,
             "xs": [point_texts[k] for k in ks],
             "values": [value_text(value) for value in own],
-            "reports": decode(text) + documents,
+            "reports": check_documents + documents,
         }
         yield record, broken
 

@@ -1132,7 +1132,10 @@ class TestUsageErrors:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "prefix sweep at n=10, D=8 has 9^10 profiles; cap is 20000" in captured.err
+        assert (
+            "prefix sweep at n=10, D=8 keeps 10 rows of 9 entries for each of "
+            "9^10 profiles; cap is 650000 row entries" in captured.err
+        )
 
     def test_huge_prefix_grid_refused_at_once(self, fx, capsys):
         t0 = time.perf_counter()
@@ -1163,7 +1166,27 @@ class TestUsageErrors:
         )
         assert time.perf_counter() - t0 < 1.0
         assert code == 2
-        assert "has 1000000001^2 profiles; cap is 20000" in capsys.readouterr().err
+        assert (
+            "each of 1000000001^2 profiles; cap is 650000 row entries"
+            in capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("n, grid", [("1", "19999"), ("2", "140")])
+    def test_sweep_past_row_entry_cap_refused_at_once(
+        self, monkeypatch, capsys, n, grid
+    ):
+        monkeypatch.setattr(
+            sweeps, "ordered_map", lambda *args: pytest.fail("a sweep started")
+        )
+        t0 = time.perf_counter()
+        code = main(["enumerate", "--mechanism", "prefix-cake", "--n", n, "--grid", grid])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"fairslice: error: prefix sweep at n={n}, ")
+        assert captured.err.endswith("; cap is 650000 row entries\n")
 
     def test_non_prefix_report_message(self, fx, capsys):
         code = main(["verify", "--mechanism", "prefix-cake", "--instance", fx["shifted"]])

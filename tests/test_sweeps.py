@@ -25,7 +25,7 @@ from fairslice.properties import allocation_reports, grid_points
 from fairslice.rationals import parse_rational
 from fairslice.serialize import report_document, to_jsonable
 from fairslice.sweeps import (
-    SWEEP_PROFILE_CAP,
+    SWEEP_ROW_ENTRY_CAP,
     random_grid_subset,
     random_interval_set,
     sweep_prefix_grid,
@@ -157,7 +157,7 @@ def test_each_profile_runs_once_per_sweep(monkeypatch, tmp_path):
 
 def test_oversized_sweep_refused_before_any_run(monkeypatch, tmp_path):
     runs = _log_runs(monkeypatch, tmp_path, "prefix-cake")
-    assert SWEEP_PROFILE_CAP >= 9**4
+    assert SWEEP_ROW_ENTRY_CAP == 650_000
     with pytest.raises(SearchSpaceTooLargeError, match=r"9\^5 profiles"):
         next(sweep_prefix_grid("prefix-cake", 5, 8))
     with pytest.raises(SearchSpaceTooLargeError, match=r"2\^1000000 profiles"):
@@ -188,6 +188,54 @@ def test_bad_request_refused_before_any_profile(monkeypatch, name, n, d, message
     with pytest.raises(FairsliceError) as refused:
         next(sweep_prefix_grid(name, n, d, workers=2))
     assert str(refused.value) == message
+
+
+class _Started(Exception):
+    pass
+
+
+def _admitted(monkeypatch, n, d):
+    """Whether the sweep passes its size check, which it makes before
+    ordered_map is called; no profile runs either way."""
+
+    def started(*args):
+        raise _Started
+
+    monkeypatch.setattr(sweeps, "ordered_map", started)
+    try:
+        next(sweep_prefix_grid("prefix-cake", n, d))
+    except _Started:
+        return True
+    except SearchSpaceTooLargeError:
+        return False
+    raise AssertionError("the sweep neither started nor was refused")
+
+
+@pytest.mark.parametrize(
+    "n, admitted, refused",
+    [(1, 805, 806), (2, 67, 68), (3, 20, 21), (4, 10, 11)],
+)
+def test_row_entry_cap_edges(monkeypatch, n, admitted, refused):
+    """A sweep keeps n·(D+1)^(n+1) row entries and is refused exactly
+    when that exceeds the cap."""
+    assert n * (admitted + 1) ** (n + 1) <= SWEEP_ROW_ENTRY_CAP
+    assert n * (refused + 1) ** (n + 1) > SWEEP_ROW_ENTRY_CAP
+    assert _admitted(monkeypatch, n, admitted)
+    assert not _admitted(monkeypatch, n, refused)
+
+
+def test_row_entry_cap_keeps_large_n_sweeps(monkeypatch):
+    """n=9, D=2 and n=14, D=1 are admitted, n=15 is refused even at D=1,
+    and for n from 4 to 14 every sweep of at most 20,000 profiles is
+    admitted."""
+    assert _admitted(monkeypatch, 9, 2)
+    assert _admitted(monkeypatch, 14, 1)
+    assert not _admitted(monkeypatch, 15, 1)
+    for n in range(4, 15):
+        d = 1
+        while (d + 1) ** n <= 20_000:
+            assert _admitted(monkeypatch, n, d), (n, d)
+            d += 1
 
 
 def test_instances_built_only_in_phase_one(monkeypatch):
@@ -229,11 +277,3 @@ def test_machine_output_bytes_are_golden(capsys, name, n, d):
           "--format", "machine"])
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[name, n, d]
-
-
-@pytest.mark.parametrize("entries", [0, 1, 2, 7])
-def test_memo_tables_refilled_give_identical_records(monkeypatch, entries):
-    """Evicting from the memos, or caching nothing at all, changes nothing."""
-    expected = list(sweep_prefix_grid("prefix-cake", 3, 4))
-    monkeypatch.setattr(sweeps, "SWEEP_MEMO_ENTRIES", entries)
-    assert list(sweep_prefix_grid("prefix-cake", 3, 4)) == expected
